@@ -74,10 +74,6 @@ class _DataError(Exception):
     """Malformed instance/config; maps to exit 65."""
 
 
-def _fail(message: str) -> "_DataError":
-    return _DataError(message)
-
-
 def _read_json(path: str):
     try:
         if path == "-":
@@ -85,16 +81,16 @@ def _read_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
+        raise _DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: not valid JSON: {exc}") from exc
+        raise _DataError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _read_instance(path: str):
     try:
         return instance_from_obj(_read_json(path))
     except InstanceFormatError as exc:
-        raise _fail(f"{path}: {exc}") from exc
+        raise _DataError(f"{path}: {exc}") from exc
 
 
 def _write_line(line: str, out: str) -> None:
@@ -129,6 +125,8 @@ def _cmd_solve(args) -> int:
     except BudgetExceeded:
         _write_line(_record(result="budget-exceeded"), args.output)
         return EXIT_BUDGET
+    except ValueError as exc:  # e.g. lists of unequal or zero size
+        raise _DataError(f"{args.instance}: {exc}") from exc
     if packing is None:
         _write_line(_record(result="none"), args.output)
         return EXIT_NONE
@@ -144,7 +142,10 @@ def _cmd_chi_star(args) -> int:
     try:
         g = _graph_from_obj(obj)
     except InstanceFormatError as exc:
-        raise _fail(f"{args.graph}: {exc}") from exc
+        raise _DataError(f"{args.graph}: {exc}") from exc
+    if args.k < 1:
+        print("--k must be positive", file=sys.stderr)
+        return EXIT_USAGE
     budget = _default_budget(args)
     decide = decide_chi_star_list if args.mode == "list" else decide_chi_star_corr
     try:
@@ -177,18 +178,18 @@ def _cmd_pack(args) -> int:
             packing = pack_degenerate(_as_cover(instance))
         elif args.method == "complete":
             if is_cover:
-                raise _fail("method complete needs a list-mode instance")
+                raise _DataError("method complete needs a list-mode instance")
             g, lists = instance
             packing = pack_complete(lists, lists.uniform_size())
         elif args.method == "bip-ordered":
             if is_cover:
-                raise _fail("method bip-ordered needs a list-mode instance")
+                raise _DataError("method bip-ordered needs a list-mode instance")
             packing = pack_bipartite_ordered(*instance)
         elif args.method == "augment":
             packing = pack_augment(_as_cover(instance), args.chi_c_bound)
         elif args.method == "fractional":
             if is_cover:
-                raise _fail("method fractional needs a list-mode instance")
+                raise _DataError("method fractional needs a list-mode instance")
             if args.seed is None or args.fc is None:
                 print(
                     "method fractional requires --seed and --fc",
@@ -201,7 +202,7 @@ def _cmd_pack(args) -> int:
                     int(fc_obj["a"]), int(fc_obj["b"]), fc_obj["assignment"]
                 )
             except (KeyError, TypeError, ValueError) as exc:
-                raise _fail(f"{args.fc}: bad fractional colouring: {exc}")
+                raise _DataError(f"{args.fc}: bad fractional colouring: {exc}")
             g, lists = instance
             packing = pack_fractional(
                 g, lists, fc, max_rounds=args.max_rounds, seed=args.seed
@@ -218,7 +219,7 @@ def _cmd_pack(args) -> int:
         else:  # pragma: no cover - argparse restricts choices
             return EXIT_USAGE
     except ValueError as exc:
-        raise _fail(f"precondition failed: {exc}") from exc
+        raise _DataError(f"precondition failed: {exc}") from exc
     if packing is None:
         _write_line(_record(result="none", method=args.method), args.output)
         return EXIT_NONE
@@ -248,40 +249,48 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+#: experiment kind -> (required params, run(params, seed) -> (estimate,
+#: ci), predicted(params)); shared by the matrix and experiment commands
+_ESTIMATORS = {
+    "perm-zero": (
+        ("k", "p", "trials"),
+        lambda q, seed: zero_permanent_prob_mc(
+            int(q["k"]), float(q["p"]), int(q["trials"]), seed
+        ),
+        lambda q: 2 * int(q["k"]) * float(q["p"]) ** int(q["k"]),
+    ),
+    "zero-transversal": (
+        ("n", "k", "trials"),
+        lambda q, seed: no_zero_transversal_prob_mc(
+            int(q["n"]), int(q["k"]), int(q["trials"]), seed
+        ),
+        lambda q: 3 * int(q["k"]) ** 2 * math.exp(-int(q["n"]) ** (0.2 / 3)),
+    ),
+}
+
+
+def _estimate(kind: str, params: dict, seed: int) -> dict:
+    """estimate, ci, predicted and ratio of one estimator run; ratio is
+    null unless predicted is a probability in (0, 1]."""
+    _, run, predict = _ESTIMATORS[kind]
+    est, ci = run(params, seed)
+    predicted = predict(params)
+    ratio = est / predicted if 0 < predicted <= 1 else None
+    return dict(estimate=est, ci=ci, predicted=predicted, ratio=ratio)
+
+
 def _cmd_matrix(args) -> int:
-    if args.experiment == "perm-zero":
-        est, ci = zero_permanent_prob_mc(args.k, args.p, args.trials, args.seed)
-        predicted = 2 * args.k * args.p**args.k
-        fields = dict(
-            estimate=est,
-            ci=ci,
-            predicted=predicted,
-            ratio=est / predicted if predicted else None,
-        )
-        if args.exact:
-            if args.k > 4:
-                print("--exact supports k <= 4 only", file=sys.stderr)
-                return EXIT_USAGE
-            fields["exact"] = float(zero_permanent_prob_exact(args.k, args.p))
-    else:
-        est, ci = no_zero_transversal_prob_mc(
-            args.n, args.k, args.trials, args.seed
-        )
-        predicted = 3 * args.k**2 * math.exp(-args.n ** (0.2 / 3))
-        fields = dict(
-            estimate=est,
-            ci=ci,
-            predicted=predicted,
-            ratio=est / predicted,
-        )
+    required = _ESTIMATORS[args.experiment][0]
+    fields = _estimate(
+        args.experiment, {q: getattr(args, q) for q in required}, args.seed
+    )
+    if args.exact:
+        if args.k > 4:
+            print("--exact supports k <= 4 only", file=sys.stderr)
+            return EXIT_USAGE
+        fields["exact"] = float(zero_permanent_prob_exact(args.k, args.p))
     _write_line(_record(**fields), args.output)
     return EXIT_OK
-
-
-_EXPERIMENT_KINDS = {
-    "perm-zero": ("k", "p", "trials"),
-    "zero-transversal": ("n", "k", "trials"),
-}
 
 
 def _cmd_experiment(args) -> int:
@@ -289,11 +298,11 @@ def _cmd_experiment(args) -> int:
     if not isinstance(config, dict) or not isinstance(
         config.get("experiments"), list
     ):
-        raise _fail("config must be an object with an 'experiments' array")
+        raise _DataError("config must be an object with an 'experiments' array")
     experiments = config["experiments"]
     names = [e.get("name") for e in experiments]
     if len(names) != len(set(names)):
-        raise _fail("duplicate experiment names in config")
+        raise _DataError("duplicate experiment names in config")
     lines = []
     for exp in experiments:
         try:
@@ -305,35 +314,20 @@ def _cmd_experiment(args) -> int:
                 base = int(exp["seed"])
                 seeds = [base + i for i in range(int(exp.get("repetitions", 1)))]
         except (KeyError, TypeError, ValueError) as exc:
-            raise _fail(f"bad experiment entry: {exc}") from exc
-        if kind not in _EXPERIMENT_KINDS:
-            raise _fail(f"experiment {name!r}: unknown kind {kind!r}")
-        missing = [p for p in _EXPERIMENT_KINDS[kind] if p not in params]
+            raise _DataError(f"bad experiment entry: {exc}") from exc
+        if kind not in _ESTIMATORS:
+            raise _DataError(f"experiment {name!r}: unknown kind {kind!r}")
+        missing = [p for p in _ESTIMATORS[kind][0] if p not in params]
         if missing:
-            raise _fail(f"experiment {name!r}: missing params {missing}")
+            raise _DataError(f"experiment {name!r}: missing params {missing}")
         for seed in seeds:
-            if kind == "perm-zero":
-                k, p = int(params["k"]), float(params["p"])
-                est, ci = zero_permanent_prob_mc(
-                    k, p, int(params["trials"]), int(seed)
-                )
-                predicted = 2 * k * p**k
-            else:
-                n, k = int(params["n"]), int(params["k"])
-                est, ci = no_zero_transversal_prob_mc(
-                    n, k, int(params["trials"]), int(seed)
-                )
-                predicted = 3 * k**2 * math.exp(-n ** (0.2 / 3))
             lines.append(
                 _record(
                     experiment=name,
                     kind=kind,
                     params=params,
                     seed=int(seed),
-                    estimate=est,
-                    ci=ci,
-                    predicted=predicted,
-                    ratio=est / predicted if predicted else None,
+                    **_estimate(kind, params, int(seed)),
                 )
             )
     _write_line("\n".join(lines) if lines else "", args.output)

@@ -29,7 +29,7 @@ from .core import (
     Graph,
     ListAssignment,
     Packing,
-    degeneracy_order,
+    degeneracy_order,  # noqa: F401 - re-exported
     validate_packing,
 )
 from .exact import _directed_conflicts, find_independent_transversal
@@ -51,18 +51,15 @@ def pack_degenerate(cover: CorrespondenceCover) -> Packing:
     most d partners.
     """
     g, k = cover.graph, cover.k
-    order, d = degeneracy_order(g)
+    order, d = g.peel
     if k < 2 * d:
         raise ValueError(f"need k >= 2*degeneracy = {2 * d}, got k = {k}")
     conf = _directed_conflicts(cover)
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = g.neighbours()
+    full = (1 << k) - 1
     columns: dict[int, list[int]] = {}
     for v in order:
-        forbidden: list[set[int]] = [set() for _ in range(k)]
-        for u in nbrs[v]:
-            if pos[u] > pos[v]:
-                continue
+        allowed = [full] * k  # slot bitmask per colouring
+        for u in g.earlier[v]:
             edge_conf = conf.get((u, v))
             if edge_conf is None:
                 continue
@@ -70,11 +67,8 @@ def pack_degenerate(cover: CorrespondenceCover) -> Packing:
             for i in range(k):
                 s = edge_conf.get(cu[i])
                 if s is not None:
-                    forbidden[i].add(s)
-        adj = [
-            [s for s in range(k) if s not in forbidden[i]] for i in range(k)
-        ]
-        col = perfect_matching(adj, k)
+                    allowed[i] &= ~(1 << s)
+        col = perfect_matching(allowed, k)
         if col is None:
             raise PackingError(f"no perfect matching at vertex {v}")
         columns[v] = col
@@ -86,8 +80,8 @@ def _sdr(families: list[list[int]]) -> Optional[list[int]]:
     """System of distinct representatives; families hold colour ids."""
     universe = sorted({c for fam in families for c in fam})
     index = {c: i for i, c in enumerate(universe)}
-    adj = [[index[c] for c in fam] for fam in families]
-    m = perfect_matching(adj, len(universe))
+    masks = [sum(1 << index[c] for c in fam) for fam in families]
+    m = perfect_matching(masks, len(universe))
     if m is None:
         return None
     return [universe[i] for i in m]
@@ -103,12 +97,10 @@ def _complete_stage(lists: list[tuple[int, ...]], k: int) -> list[int]:
     counts = Counter(col for lst in lists for col in lst)
     rich = sorted(r for r, cnt in counts.items() if cnt == k)
     if rich:
-        vertices_of = {
-            r: [v for v in range(n) if r in lists[v]] for r in rich
-        }
-        universe = list(range(n))
-        adj = [vertices_of[r] for r in rich]
-        m = perfect_matching(adj, n)
+        masks = [
+            sum(1 << v for v in range(n) if r in lists[v]) for r in rich
+        ]
+        m = perfect_matching(masks, n)
         if m is None:
             raise PackingError("Hall condition failed for rich colours")
         f = {r: m[i] for i, r in enumerate(rich)}
@@ -210,15 +202,14 @@ def pack_bipartite_ordered(g: Graph, lists: ListAssignment) -> Packing:
             rows[i][b] = lists.lists[b][i]
     for a in a_side:
         la = lists.lists[a]
-        index_sets = []
-        for j in la:
-            index_sets.append(
-                [
-                    i
-                    for i in range(k)
-                    if all(rows[i][b] != j for b in nbrs[a])
-                ]
+        index_sets = [
+            sum(
+                1 << i
+                for i in range(k)
+                if all(rows[i][b] != j for b in nbrs[a])
             )
+            for j in la
+        ]
         m = perfect_matching(index_sets, k)
         if m is None:
             raise PackingError(f"Hall condition failed at vertex {a}")
@@ -243,7 +234,7 @@ def pack_augment(
     after every augmentation (used by tests to check progress).
     """
     g, k = cover.graph, cover.k
-    _, d = degeneracy_order(g)
+    d = g.peel[1]
     if chi_c_bound is None:
         chi_c_bound = 1 + d
     delta = g.max_degree()

@@ -17,13 +17,16 @@ Conventions used throughout the package:
     indices 0..k-1.
 
 All types are immutable after construction and the validators are pure
-functions, so everything here is safe to share across threads.
+functions, so everything here is safe to share across threads.  A Graph
+computes its degeneracy order and earlier-neighbour lists on first use
+and keeps them (as tuples) for its lifetime.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 SCHEMA_VERSION = "listpack/1"
@@ -66,6 +69,26 @@ class Graph:
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0) if self.n else 0
+
+    @cached_property
+    def peel(self) -> tuple[tuple[int, ...], int]:
+        """degeneracy_order(self), computed once per instance."""
+        return degeneracy_order(self)
+
+    @cached_property
+    def earlier(self) -> tuple[tuple[int, ...], ...]:
+        """earlier[v]: the neighbours of v that precede it in the
+        degeneracy order, ascending."""
+        pos = [0] * self.n
+        for i, v in enumerate(self.peel[0]):
+            pos[v] = i
+        earlier: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in sorted(self.edges):
+            if pos[u] < pos[v]:
+                earlier[v].append(u)
+            else:
+                earlier[u].append(v)
+        return tuple(map(tuple, earlier))
 
 
 @dataclass(frozen=True)
@@ -155,20 +178,6 @@ class Packing:
         return len(self.colourings[0]) if self.colourings else 0
 
 
-@dataclass(frozen=True)
-class PartialPacking:
-    """Like Packing but entries may be None (unassigned)."""
-
-    k: int
-    mode: str
-    colourings: tuple[tuple[Optional[int], ...], ...]
-
-    def assigned_count(self) -> int:
-        return sum(
-            1 for row in self.colourings for entry in row if entry is not None
-        )
-
-
 def validate_cover(cover: CorrespondenceCover) -> Optional[str]:
     """Return None if the cover satisfies all invariants, else a message
     naming the first violation found."""
@@ -250,12 +259,12 @@ def list_to_cover(g: Graph, lists: ListAssignment) -> CorrespondenceCover:
     if lists.n != g.n:
         raise ValueError(f"{lists.n} lists for {g.n} vertices")
     k = lists.uniform_size()
+    slot = [{c: j for j, c in enumerate(lst)} for lst in lists.lists]
     matchings = {}
     for u, v in sorted(g.edges):
-        lu, lv = lists.lists[u], lists.lists[v]
-        pos_v = {c: j for j, c in enumerate(lv)}
+        slot_v = slot[v]
         pairs = tuple(
-            (i, pos_v[c]) for i, c in enumerate(lu) if c in pos_v
+            (i, slot_v[c]) for i, c in enumerate(lists.lists[u]) if c in slot_v
         )
         if pairs:
             matchings[(u, v)] = pairs

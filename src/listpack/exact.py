@@ -3,8 +3,9 @@
 The packing search branches on whole per-vertex columns (the k slots a
 vertex contributes, one per colouring, necessarily a permutation of the
 k slots by disjointness), processing vertices in degeneracy order so
-that every vertex is constrained only by few earlier neighbours.  All
-searches are complete; a configurable node budget turns runaway
+that every vertex is constrained only by few earlier neighbours.  List
+packing is the same search on the list-cover.  All searches are
+complete; a configurable node budget turns runaway
 instances into a distinct BudgetExceeded outcome rather than a silent
 "none".
 """
@@ -14,12 +15,14 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterator, Optional, Sequence
 
-from .core import (
+from .core import (  # noqa: F401 - degeneracy_order is re-exported
     CorrespondenceCover,
     Graph,
     ListAssignment,
     Packing,
     degeneracy_order,
+    list_to_cover,
+    slots_to_colours,
     validate_cover,
 )
 
@@ -55,52 +58,22 @@ def _directed_conflicts(cover: CorrespondenceCover) -> dict:
     return conf
 
 
-def _earlier_neighbours(g: Graph, order: Sequence[int]) -> list[list[int]]:
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = g.neighbours()
-    return [sorted(u for u in nbrs[v] if pos[u] < pos[v]) for v in order]
-
-
-def _column_search(
-    k: int,
-    forbidden: list[set[int]],
-    budget: _Budget,
-) -> Iterator[tuple[int, ...]]:
-    """All injective colouring->slot columns avoiding forbidden[i] sets."""
-    col = [0] * k
-    used = [False] * k
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        budget.spend()
-        if i == k:
-            yield tuple(col)
-            return
-        bad = forbidden[i]
-        for s in range(k):
-            if used[s] or s in bad:
-                continue
-            used[s] = True
-            col[i] = s
-            yield from rec(i + 1)
-            used[s] = False
-
-    yield from rec(0)
-
-
 def find_packing(
     cover: CorrespondenceCover, budget: Optional[int] = None
 ) -> Optional[Packing]:
     """Complete search for a k-fold packing of the cover.
 
     Returns a packing (cover mode) or None when provably no packing
-    exists; raises BudgetExceeded when the node budget runs out.
+    exists; raises BudgetExceeded when the node budget runs out.  Each
+    vertex, in degeneracy order, takes a column: an injective choice of
+    slot per colouring, slot s barred from colouring i when it conflicts
+    with colouring i's slot at an earlier neighbour.
     """
     err = validate_cover(cover)
     if err is not None:
         raise ValueError(err)
     g, k = cover.graph, cover.k
-    order, _ = degeneracy_order(g)
-    earlier = _earlier_neighbours(g, order)
+    order, earlier = g.peel[0], g.earlier
     conf = _directed_conflicts(cover)
     b = _as_budget(budget)
     columns: list[Optional[tuple[int, ...]]] = [None] * g.n
@@ -109,20 +82,34 @@ def find_packing(
         if idx == g.n:
             return True
         v = order[idx]
-        forbidden: list[set[int]] = [set() for _ in range(k)]
-        for u in earlier[idx]:
-            cu = columns[u]
+        forbidden = [0] * k  # slot bitmask per colouring
+        for u in earlier[v]:
             edge_conf = conf.get((u, v))
             if edge_conf is None:
                 continue
+            cu = columns[u]
             for i in range(k):
                 s = edge_conf.get(cu[i])
                 if s is not None:
-                    forbidden[i].add(s)
-        for col in _column_search(k, forbidden, b):
-            columns[v] = col
-            if dfs(idx + 1):
-                return True
+                    forbidden[i] |= 1 << s
+        col = [0] * k
+
+        def rec(i: int, used: int) -> bool:
+            b.spend()
+            if i == k:
+                columns[v] = tuple(col)
+                return dfs(idx + 1)
+            bad = forbidden[i] | used
+            for s in range(k):
+                if bad >> s & 1:
+                    continue
+                col[i] = s
+                if rec(i + 1, used | 1 << s):
+                    return True
+            return False
+
+        if rec(0, 0):
+            return True
         columns[v] = None
         return False
 
@@ -135,55 +122,10 @@ def find_packing(
 def find_list_packing(
     g: Graph, lists: ListAssignment, budget: Optional[int] = None
 ) -> Optional[Packing]:
-    """Complete search for an L-packing; conflicts are colour equality.
-
-    Equivalent to find_packing(list_to_cover(g, lists)) but works on
-    colours directly, which matters inside the chi-star enumerations.
-    """
-    k = lists.uniform_size()
-    order, _ = degeneracy_order(g)
-    earlier = _earlier_neighbours(g, order)
-    b = _as_budget(budget)
-    columns: list[Optional[tuple[int, ...]]] = [None] * g.n
-
-    def dfs(idx: int) -> bool:
-        if idx == g.n:
-            return True
-        v = order[idx]
-        lv = lists.lists[v]
-        forbidden: list[set[int]] = [set() for _ in range(k)]
-        for u in earlier[idx]:
-            cu = columns[u]
-            for i in range(k):
-                forbidden[i].add(cu[i])
-        col = [0] * k
-        used = [False] * k
-
-        def rec(i: int) -> bool:
-            b.spend()
-            if i == k:
-                columns[v] = tuple(col)
-                return dfs(idx + 1)
-            bad = forbidden[i]
-            for s in range(k):
-                if used[s] or lv[s] in bad:
-                    continue
-                used[s] = True
-                col[i] = lv[s]
-                if rec(i + 1):
-                    return True
-                used[s] = False
-            return False
-
-        if rec(0):
-            return True
-        columns[v] = None
-        return False
-
-    if not dfs(0):
-        return None
-    rows = [tuple(columns[v][i] for v in range(g.n)) for i in range(k)]
-    return Packing.from_rows("list", rows)
+    """Complete search for an L-packing: find_packing on the list-cover,
+    translated back to colours."""
+    found = find_packing(list_to_cover(g, lists), budget=budget)
+    return None if found is None else slots_to_colours(lists, found)
 
 
 def find_independent_transversal(
@@ -196,8 +138,7 @@ def find_independent_transversal(
     for v, slots in enumerate(allowed):
         if any(not (0 <= s < k) for s in slots):
             raise ValueError(f"allowed[{v}] contains a slot outside 0..{k - 1}")
-    order, _ = degeneracy_order(g)
-    earlier = _earlier_neighbours(g, order)
+    order, earlier = g.peel[0], g.earlier
     conf = _directed_conflicts(cover)
     b = _as_budget(budget)
     chosen: list[Optional[int]] = [None] * g.n
@@ -207,7 +148,7 @@ def find_independent_transversal(
             return True
         v = order[idx]
         forbidden = set()
-        for u in earlier[idx]:
+        for u in earlier[v]:
             edge_conf = conf.get((u, v))
             if edge_conf is None:
                 continue
@@ -262,7 +203,7 @@ def decide_chi_star_list(
     canonical assignment packs (certifying chi*_ell(g) <= k)."""
     b = _Budget(budget)
     for assignment in canonical_list_assignments(g.n, k):
-        if find_list_packing(g, assignment, budget=b) is None:
+        if find_packing(list_to_cover(g, assignment), budget=b) is None:
             return assignment
     return None
 
@@ -270,13 +211,14 @@ def decide_chi_star_list(
 def decide_chi_star_corr(
     g: Graph, k: int, budget: Optional[int] = None
 ) -> Optional[CorrespondenceCover]:
-    """Witness k-fold cover with no packing, or None when all enumerated
-    covers pack.
+    """Witness k-fold cover with no packing, or None when every k-fold
+    cover packs (certifying chi*_c(g) <= k).
 
     Enumerates perfect per-edge matchings only, with the first edge fixed
-    to the identity (a sound relabelling reduction); this under-
-    approximates the witness space but the extremal covers in scope use
-    perfect matchings.
+    to the identity, and is still complete.  Every partial matching
+    extends to a perfect one and adding conflicts cannot create a
+    packing, so if some cover has no packing, some perfect one has none.
+    Fixing the first edge relabels one endpoint's slots.
     """
     edges = sorted(g.edges)
     b = _Budget(budget)

@@ -1,10 +1,12 @@
 """Deterministic maximum bipartite matching (Kuhn's augmenting paths).
 
-Left vertices are 0..n_left-1, right vertices 0..n_right-1; adjacency is
-a list of right-vertex lists.  Left vertices are processed in ascending
-order and adjacency lists are scanned in the given order, so results are
-reproducible.  Sizes in this package are tiny (k is a list size), so the
-O(V*E) bound is irrelevant.
+Left vertices are 0..n_left-1, right vertices 0..n_right-1; the
+adjacency of left vertex u is the bitmask masks[u] (bit w set iff u is
+adjacent to w).  Left vertices are processed in ascending order and each
+mask is scanned lowest bit first, preferring an unmatched partner, so
+results are reproducible and complete adjacency yields the identity.
+Sizes in this package are tiny (k is a list size), so the O(V*E) bound
+is irrelevant.
 """
 
 from __future__ import annotations
@@ -12,50 +14,59 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 
-def max_bipartite_matching(
-    adj: Sequence[Sequence[int]], n_right: int
-) -> tuple[list[Optional[int]], list[Optional[int]]]:
-    """Return (match_left, match_right); None marks an unmatched vertex."""
-    n_left = len(adj)
-    match_left: list[Optional[int]] = [None] * n_left
+def _kuhn(
+    masks: Sequence[int], n_right: int, perfect: bool
+) -> Optional[tuple[list[Optional[int]], list[Optional[int]]]]:
+    """(match_left, match_right) of a maximum matching; with perfect=True,
+    None as soon as a left vertex stays unmatched (it never is later)."""
+    match_left: list[Optional[int]] = [None] * len(masks)
     match_right: list[Optional[int]] = [None] * n_right
+    full = (1 << n_right) - 1
+    unvisited = full
 
-    def try_augment(u: int, visited: list[bool]) -> bool:
-        # prefer an unmatched partner before displacing earlier vertices,
-        # so e.g. complete adjacency yields the identity matching
-        for w in adj[u]:
-            if not visited[w] and match_right[w] is None:
-                visited[w] = True
-                match_left[u] = w
-                match_right[w] = u
+    def augment(u: int) -> bool:
+        nonlocal unvisited
+        avail = masks[u] & unvisited
+        scan = avail
+        while scan:
+            low = scan & -scan
+            w = low.bit_length() - 1
+            if match_right[w] is None:
+                match_left[u], match_right[w] = w, u
                 return True
-        for w in adj[u]:
-            if visited[w]:
-                continue
-            visited[w] = True
-            if try_augment(match_right[w], visited):
-                match_left[u] = w
-                match_right[w] = u
+            scan ^= low
+        while avail:
+            low = avail & -avail
+            w = low.bit_length() - 1
+            unvisited &= ~low
+            if augment(match_right[w]):
+                match_left[u], match_right[w] = w, u
                 return True
+            avail &= unvisited
         return False
 
-    for u in range(n_left):
-        try_augment(u, [False] * n_right)
+    for u in range(len(masks)):
+        unvisited = full
+        if not augment(u) and perfect:
+            return None
     return match_left, match_right
 
 
-def perfect_matching(
-    adj: Sequence[Sequence[int]], n_right: int
-) -> Optional[list[int]]:
+def max_bipartite_matching(
+    masks: Sequence[int], n_right: int
+) -> tuple[list[Optional[int]], list[Optional[int]]]:
+    """Return (match_left, match_right); None marks an unmatched vertex."""
+    return _kuhn(masks, n_right, perfect=False)  # type: ignore[return-value]
+
+
+def perfect_matching(masks: Sequence[int], n_right: int) -> Optional[list[int]]:
     """Perfect matching of the left side, or None if one does not exist."""
-    match_left, _ = max_bipartite_matching(adj, n_right)
-    if any(m is None for m in match_left):
-        return None
-    return match_left  # type: ignore[return-value]
+    found = _kuhn(masks, n_right, perfect=True)
+    return None if found is None else found[0]  # type: ignore[return-value]
 
 
 def hall_violator(
-    adj: Sequence[Sequence[int]], n_right: int
+    masks: Sequence[int], n_right: int
 ) -> Optional[tuple[set[int], set[int]]]:
     """A Hall violator of the left side: (S, N(S)) with |N(S)| < |S|.
 
@@ -63,21 +74,21 @@ def hall_violator(
     unmatched left vertices under a maximum matching; returns None when
     the matching saturates the left side.
     """
-    match_left, match_right = max_bipartite_matching(adj, n_right)
-    free = [u for u in range(len(adj)) if match_left[u] is None]
+    match_left, match_right = max_bipartite_matching(masks, n_right)
+    free = [u for u in range(len(masks)) if match_left[u] is None]
     if not free:
         return None
     reach_left = set(free)
-    reach_right: set[int] = set()
+    reach_right = 0
     frontier = list(free)
     while frontier:
-        u = frontier.pop()
-        for w in adj[u]:
-            if w in reach_right:
-                continue
-            reach_right.add(w)
-            back = match_right[w]
+        fresh = masks[frontier.pop()] & ~reach_right
+        reach_right |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            back = match_right[low.bit_length() - 1]
             if back is not None and back not in reach_left:
                 reach_left.add(back)
                 frontier.append(back)
-    return reach_left, reach_right
+    return reach_left, {w for w in range(n_right) if reach_right >> w & 1}

@@ -22,11 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import sqrt
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .matching import hall_violator, max_bipartite_matching
+from .matching import hall_violator, perfect_matching
 
 #: two-sided z value for a 99% normal confidence interval
 Z_99 = 2.5758293035489004
@@ -116,44 +116,9 @@ def permanent(a: BinaryMatrix) -> int:
     return sign * total
 
 
-def _match_masks(masks: Sequence[int], k: int) -> Optional[list[int]]:
-    """Perfect row->column matching on bitmask rows (Kuhn), or None."""
-    match_col = [-1] * k
-
-    def augment(r: int, free: int) -> tuple[bool, int]:
-        avail = masks[r] & free
-        # Prefer a directly unmatched column (keeps e.g. the identity on
-        # an all-ones matrix) before displacing earlier rows.
-        scan = avail
-        while scan:
-            c = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            if match_col[c] == -1:
-                match_col[c] = r
-                return True, free & ~(1 << c)
-        while avail:
-            c = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            free &= ~(1 << c)
-            ok, free = augment(match_col[c], free)
-            if ok:
-                match_col[c] = r
-                return True, free
-        return False, free
-
-    for r in range(k):
-        ok, _ = augment(r, (1 << k) - 1)
-        if not ok:
-            return None
-    perm = [0] * k
-    for c, r in enumerate(match_col):
-        perm[r] = c
-    return perm
-
-
 def one_transversal(a: BinaryMatrix) -> Optional[tuple[int, ...]]:
     """Permutation sigma with A[i][sigma[i]] = 1 for all i, or None."""
-    m = _match_masks(a.row_masks(), a.k)
+    m = perfect_matching(a.row_masks(), a.k)
     return None if m is None else tuple(m)
 
 
@@ -171,8 +136,7 @@ def frobenius_konig_witness(
     """Row set S and column set T with |S| + |T| = k + 1 and A[S x T]
     all-zero; None iff the matrix has a 1-transversal."""
     k = a.k
-    adj = [[j for j in range(k) if a.bits[i][j]] for i in range(k)]
-    violator = hall_violator(adj, k)
+    violator = hall_violator(a.row_masks(), k)
     if violator is None:
         return None
     reach_rows, reach_cols = violator
@@ -193,7 +157,7 @@ def _zero_permanent_tally(k: int) -> tuple[int, ...]:
             sum(1 << j for j in range(k) if bits[i * k + j])
             for i in range(k)
         ]
-        if _match_masks(masks, k) is None:
+        if perfect_matching(masks, k) is None:
             tally[bits.count(0)] += 1
     return tuple(tally)
 
@@ -235,9 +199,7 @@ def sample_bernoulli_matrix(
     rng: np.random.Generator, k: int, p: float
 ) -> list[int]:
     """Row bitmasks of a k x k matrix with independent entries, each 0
-    with probability p.  This is the default matrix model; estimators
-    accept any sampler with this signature, so correlated entry models
-    can be plugged in."""
+    with probability p."""
     u = rng.random(k * k)
     masks = []
     for i in range(k):
@@ -249,15 +211,8 @@ def sample_bernoulli_matrix(
     return masks
 
 
-MatrixSampler = Callable[[np.random.Generator, int, float], list[int]]
-
-
 def zero_permanent_prob_mc(
-    k: int,
-    p: float,
-    trials: int,
-    seed: int,
-    sampler: MatrixSampler = sample_bernoulli_matrix,
+    k: int, p: float, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo Pr[Per(A) = 0]: fraction of sampled matrices with no
     1-transversal.  Returns (estimate, 99% ci)."""
@@ -265,8 +220,8 @@ def zero_permanent_prob_mc(
         raise ValueError("trials must be >= 1")
     hits = 0
     for t in range(trials):
-        masks = sampler(_trial_rng(seed, t), k, p)
-        if _match_masks(masks, k) is None:
+        masks = sample_bernoulli_matrix(_trial_rng(seed, t), k, p)
+        if perfect_matching(masks, k) is None:
             hits += 1
     return binomial_ci(hits, trials)
 
@@ -303,6 +258,6 @@ def no_zero_transversal_prob_mc(
             int(sum(1 << j for j in np.nonzero(row == 0)[0]))
             for row in counts
         ]
-        if _match_masks(masks, k) is None:
+        if perfect_matching(masks, k) is None:
             hits += 1
     return binomial_ci(hits, trials)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,22 @@ def test_solve_malformed_instance_is_65(tmp_path, capsys):
     bad.write_text('{"n": 2, "edges": [[0, 9]], "lists": [[1], [2]]}')
     code, _, err = run(capsys, "solve", str(bad))
     assert code == 65 and err
+
+
+def test_solve_lists_of_unequal_or_zero_size_are_65(tmp_path, capsys):
+    for lists in ([[1], [1, 2]], [[], []]):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "lists": lists}))
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 65 and out == "" and "Traceback" not in err
+
+
+def test_chi_star_k0_is_64(tmp_path, capsys):
+    graph = tmp_path / "p2.json"
+    graph.write_text('{"n": 2, "edges": [[0, 1]]}')
+    for mode in ("list", "corr"):
+        code, out, err = run(capsys, "chi-star", mode, str(graph), "--k", "0")
+        assert code == 64 and out == "" and err
 
 
 def test_solve_budget_exit_2(tmp_path, capsys):
@@ -215,6 +232,43 @@ def test_matrix_zero_transversal_record(capsys):
     assert code == 0
     rec = record(out)
     assert abs(rec["estimate"] - 0.5) < 3 * rec["ci"]
+
+
+def test_zero_transversal_ratio_is_null_when_predicted_exceeds_one(capsys):
+    # the asymptotic prediction is 103.5 at (30, 11), not a probability
+    code, out, _ = run(
+        capsys,
+        "matrix",
+        "zero-transversal",
+        "--n",
+        "30",
+        "--k",
+        "11",
+        "--trials",
+        "10",
+        "--seed",
+        "5",
+    )
+    assert code == 0
+    rec = record(out)
+    assert rec["predicted"] > 1
+    assert rec["ratio"] is None
+
+
+def test_perm_zero_sweep_config_runs(tmp_path, capsys):
+    source = Path(__file__).parent.parent / "scripts" / "perm_zero_sweep.json"
+    config = json.loads(source.read_text())
+    for exp in config["experiments"]:
+        exp["params"]["trials"] = 10
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, "experiment", str(path))
+    assert code == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(lines) == 9
+    assert sorted((l["params"]["k"], l["seed"]) for l in lines) == [
+        (k, seed) for k in (8, 10, 12) for seed in (1, 2, 3)
+    ]
 
 
 def test_experiment_runner(tmp_path, capsys):

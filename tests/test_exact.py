@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,7 @@ from listpack.exact import (
     find_list_packing,
     find_packing,
 )
-from listpack.generators import gen_c4
+from listpack.generators import gen_c4, gen_kab_cover, gen_shift_construction
 
 
 def brute_force_has_packing(cover):
@@ -95,6 +95,8 @@ def test_list_and_cover_searches_agree():
         assert (direct is None) == (via_cover is None)
         if direct is not None:
             assert validate_packing(list_to_cover(g, lists), direct) is None
+        else:
+            assert not brute_force_has_packing(list_to_cover(g, lists))
 
 
 def test_budget_exceeded_is_raised():
@@ -103,6 +105,19 @@ def test_budget_exceeded_is_raised():
         find_list_packing(g, lists, budget=1)
     with pytest.raises(BudgetExceeded):
         find_packing(list_to_cover(g, lists), budget=1)
+
+
+def test_search_node_counts_are_pinned():
+    # each search decides with exactly this many nodes of budget
+    cases = [
+        lambda b: find_list_packing(*gen_c4(), budget=b),
+        lambda b: find_list_packing(*gen_shift_construction(2), budget=b),
+        lambda b: find_packing(gen_kab_cover(2), budget=b),
+    ]
+    for search, nodes in zip(cases, [22, 566, 248]):
+        assert search(nodes) is None
+        with pytest.raises(BudgetExceeded):
+            search(nodes - 1)
 
 
 def test_independent_transversal_basic():
@@ -234,6 +249,42 @@ def test_decide_chi_star_corr_c4_witness_at_k2():
     w = decide_chi_star_corr(g, 2)
     assert w is not None
     assert find_packing(w) is None
+
+
+def partial_matchings(k):
+    """Every partial matching between two k-slot parts."""
+    out = []
+    for size in range(k + 1):
+        for left in combinations(range(k), size):
+            for right in permutations(range(k), size):
+                out.append(tuple(zip(left, right)))
+    return out
+
+
+def test_decide_chi_star_corr_matches_all_partial_covers():
+    # the decider enumerates perfect matchings with the first edge fixed;
+    # a packless cover among all partial-matching covers (7 per edge at
+    # k = 2) must exist exactly when it returns a witness
+    k = 2
+    graphs = [
+        Graph.from_edges(3, [(0, 1), (1, 2)]),
+        Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]),
+        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    ]
+    per_edge = partial_matchings(k)
+    assert len(per_edge) == 7
+    for g in graphs:
+        edges = sorted(g.edges)
+        exists = any(
+            not brute_force_has_packing(
+                CorrespondenceCover.from_matchings(g, k, dict(zip(edges, choice)))
+            )
+            for choice in product(per_edge, repeat=len(edges))
+        )
+        witness = decide_chi_star_corr(g, k)
+        assert exists == (witness is not None)
+        if witness is not None:
+            assert not brute_force_has_packing(witness)
 
 
 def test_chi_star_budget_propagates():

@@ -7,14 +7,19 @@ from listpack.matching import (
 )
 
 
+def masks(adj):
+    """Row bitmasks of adjacency lists: bit w of masks[u] iff w in adj[u]."""
+    return [sum(1 << w for w in row) for row in adj]
+
+
 def test_perfect_matching_identity_preferring():
-    assert perfect_matching([[0, 1], [0, 1]], 2) == [0, 1]
-    assert perfect_matching([[1], [0]], 2) == [1, 0]
-    assert perfect_matching([[0], [0]], 2) is None
+    assert perfect_matching([0b11, 0b11], 2) == [0, 1]
+    assert perfect_matching([0b10, 0b01], 2) == [1, 0]
+    assert perfect_matching([0b01, 0b01], 2) is None
 
 
 def test_max_matching_partial():
-    match_left, match_right = max_bipartite_matching([[0], [0], [1]], 2)
+    match_left, match_right = max_bipartite_matching([0b01, 0b01, 0b10], 2)
     assert match_left.count(None) == 1
     assert sorted(m for m in match_left if m is not None) == [0, 1]
     assert match_right[0] in (0, 1)
@@ -22,7 +27,7 @@ def test_max_matching_partial():
 
 def test_hall_violator_on_deficient_instance():
     adj = [[0], [0], [1, 2]]
-    violator = hall_violator(adj, 3)
+    violator = hall_violator(masks(adj), 3)
     assert violator is not None
     s, ns = violator
     assert len(ns) < len(s)
@@ -30,7 +35,7 @@ def test_hall_violator_on_deficient_instance():
 
 
 def test_hall_violator_none_when_saturated():
-    assert hall_violator([[0], [1]], 2) is None
+    assert hall_violator([0b01, 0b10], 2) is None
 
 
 @st.composite
@@ -47,7 +52,7 @@ def bipartite_adjacency(draw):
 @given(bipartite_adjacency())
 def test_matching_is_consistent_and_maximal_vs_brute_force(case):
     adj, n_right = case
-    match_left, match_right = max_bipartite_matching(adj, n_right)
+    match_left, match_right = max_bipartite_matching(masks(adj), n_right)
     for u, w in enumerate(match_left):
         if w is not None:
             assert w in adj[u] and match_right[w] == u
@@ -69,8 +74,8 @@ def test_matching_is_consistent_and_maximal_vs_brute_force(case):
 @given(bipartite_adjacency())
 def test_hall_violator_iff_no_perfect_matching(case):
     adj, n_right = case
-    violator = hall_violator(adj, n_right)
-    if perfect_matching(adj, n_right) is None:
+    violator = hall_violator(masks(adj), n_right)
+    if perfect_matching(masks(adj), n_right) is None:
         s, ns = violator
         assert len(ns) < len(s)
         assert ns == {w for u in s for w in adj[u]}
