@@ -11,29 +11,12 @@ matchings per edge.  One JSON summary line at the end.
 
 import argparse
 import json
-import random
 import statistics
 import sys
 
-from listpack.core import CorrespondenceCover, Graph, validate_packing
+from listpack.core import validate_packing
+from listpack.generators import gen_random_bipartite_cover
 from listpack.probabilistic import pack_bipartite_lll
-
-
-def make_instance(side: int, degree: int, k: int, seed: int):
-    rng = random.Random(seed)
-    edges = set()
-    for _ in range(degree):
-        perm = list(range(side))
-        rng.shuffle(perm)
-        for a in range(side):
-            edges.add((a, side + perm[a]))
-    g = Graph.from_edges(2 * side, sorted(edges))
-    matchings = {}
-    for u, v in sorted(g.edges):
-        perm = list(range(k))
-        rng.shuffle(perm)
-        matchings[(u, v)] = [(i, perm[i]) for i in range(k)]
-    return CorrespondenceCover.from_matchings(g, k, matchings)
 
 
 def main() -> int:
@@ -48,7 +31,9 @@ def main() -> int:
     successes = 0
     resample_counts = []
     for run in range(args.runs):
-        cover = make_instance(args.side, args.degree, args.k, args.seed_base + run)
+        cover = gen_random_bipartite_cover(
+            args.side, args.degree, args.k, args.seed_base + run
+        )
         resamples = []
         packing = pack_bipartite_lll(
             cover, seed=run, on_resample=lambda _v: resamples.append(1)

@@ -7,19 +7,20 @@ human-readable goes to stderr.  "-" stands for stdin/stdout.
 
 Exit codes: 0 packing found / all-pack / estimator ran; 1 no packing /
 witness found; 2 search budget exceeded; 64 usage errors (unknown
-subcommand, bad flags); 65 malformed instance or config.  The
-LISTPACK_BUDGET environment variable overrides the default search
-budget for solve and chi-star.
+subcommand, bad flags, a bad LISTPACK_BUDGET); 65 malformed instance or
+config.  The LISTPACK_BUDGET environment variable overrides the default
+search budget for solve and chi-star.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Mapping, Optional
 
 from . import __version__
 from .constructive import (
@@ -70,6 +71,10 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 
+class _UsageError(Exception):
+    """Bad flag or environment value; maps to exit 64."""
+
+
 class _DataError(Exception):
     """Malformed instance/config; maps to exit 65."""
 
@@ -111,12 +116,19 @@ def _default_budget(args) -> Optional[int]:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("LISTPACK_BUDGET")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise _UsageError(
+            f"LISTPACK_BUDGET must be an integer, got {env!r}"
+        ) from None
 
 
 def _cmd_solve(args) -> int:
-    instance = _read_instance(args.instance)
     budget = _default_budget(args)
+    instance = _read_instance(args.instance)
     try:
         if isinstance(instance, CorrespondenceCover):
             packing = find_packing(instance, budget=budget)
@@ -138,15 +150,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_chi_star(args) -> int:
+    if args.k < 1:
+        raise _UsageError("--k must be positive")
+    budget = _default_budget(args)
     obj = _read_json(args.graph)
     try:
         g = _graph_from_obj(obj)
     except InstanceFormatError as exc:
         raise _DataError(f"{args.graph}: {exc}") from exc
-    if args.k < 1:
-        print("--k must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    budget = _default_budget(args)
     decide = decide_chi_star_list if args.mode == "list" else decide_chi_star_corr
     try:
         witness = decide(g, args.k, budget=budget)
@@ -191,11 +202,7 @@ def _cmd_pack(args) -> int:
             if is_cover:
                 raise _DataError("method fractional needs a list-mode instance")
             if args.seed is None or args.fc is None:
-                print(
-                    "method fractional requires --seed and --fc",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
+                raise _UsageError("method fractional requires --seed and --fc")
             fc_obj = _read_json(args.fc)
             try:
                 fc = FractionalColoring.from_sets(
@@ -209,8 +216,7 @@ def _cmd_pack(args) -> int:
             )
         elif args.method == "bip-lll":
             if args.seed is None:
-                print("method bip-lll requires --seed", file=sys.stderr)
-                return EXIT_USAGE
+                raise _UsageError("method bip-lll requires --seed")
             packing = pack_bipartite_lll(
                 _as_cover(instance),
                 max_resamples=args.max_resamples,
@@ -250,23 +256,62 @@ def _cmd_gen(args) -> int:
 
 
 #: experiment kind -> (required params, run(params, seed) -> (estimate,
-#: ci), predicted(params)); shared by the matrix and experiment commands
+#: ci), predicted(params)); shared by the matrix and experiment commands,
+#: which pass params checked by _checked
 _ESTIMATORS = {
     "perm-zero": (
         ("k", "p", "trials"),
-        lambda q, seed: zero_permanent_prob_mc(
-            int(q["k"]), float(q["p"]), int(q["trials"]), seed
-        ),
-        lambda q: 2 * int(q["k"]) * float(q["p"]) ** int(q["k"]),
+        lambda q, seed: zero_permanent_prob_mc(q["k"], q["p"], q["trials"], seed),
+        lambda q: 2 * q["k"] * q["p"] ** q["k"],
     ),
     "zero-transversal": (
         ("n", "k", "trials"),
         lambda q, seed: no_zero_transversal_prob_mc(
-            int(q["n"]), int(q["k"]), int(q["trials"]), seed
+            q["n"], q["k"], q["trials"], seed
         ),
-        lambda q: 3 * int(q["k"]) ** 2 * math.exp(-int(q["n"]) ** (0.2 / 3)),
+        lambda q: 3 * q["k"] ** 2 * math.exp(-q["n"] ** (0.2 / 3)),
     ),
 }
+
+
+def _integer(x) -> int:
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(x)
+    return int(x)
+
+
+#: estimator parameter -> (parse, holds, requirement): the one check of
+#: each parameter, for matrix flags and experiment entries alike; seeds
+#: key a Philox generator, which takes keys in [0, 2^128)
+_PARAMS = {
+    "n": (_integer, lambda x: x >= 1, "a positive integer"),
+    "k": (_integer, lambda x: x >= 1, "a positive integer"),
+    "trials": (_integer, lambda x: x >= 1, "a positive integer"),
+    "p": (float, lambda x: 0 <= x <= 1, "a probability in [0, 1]"),
+    "seed": (_integer, lambda x: 0 <= x < 2**128, "an integer in [0, 2^128)"),
+}
+
+
+def _param(name: str, value):
+    """value parsed as the estimator parameter name; ValueError if it
+    does not parse or is out of range."""
+    parse, holds, requirement = _PARAMS[name]
+    try:
+        x = None if isinstance(value, bool) else parse(value)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or not holds(x):
+        raise ValueError(f"{name} must be {requirement}, got {value!r}")
+    return x
+
+
+def _checked(kind: str, params: Mapping, seeds) -> tuple[dict, list[int]]:
+    """The required params of an estimator kind and the seeds, each
+    passed through _param; KeyError names a missing param."""
+    return (
+        {q: _param(q, params[q]) for q in _ESTIMATORS[kind][0]},
+        [_param("seed", s) for s in seeds],
+    )
 
 
 def _estimate(kind: str, params: dict, seed: int) -> dict:
@@ -280,17 +325,45 @@ def _estimate(kind: str, params: dict, seed: int) -> dict:
 
 
 def _cmd_matrix(args) -> int:
-    required = _ESTIMATORS[args.experiment][0]
-    fields = _estimate(
-        args.experiment, {q: getattr(args, q) for q in required}, args.seed
-    )
+    try:
+        params, (seed,) = _checked(args.experiment, vars(args), [args.seed])
+    except ValueError as exc:
+        raise _UsageError(f"--{exc}") from None
+    if args.exact and args.k > 4:
+        raise _UsageError("--exact supports k <= 4 only")
+    fields = _estimate(args.experiment, params, seed)
     if args.exact:
-        if args.k > 4:
-            print("--exact supports k <= 4 only", file=sys.stderr)
-            return EXIT_USAGE
         fields["exact"] = float(zero_permanent_prob_exact(args.k, args.p))
     _write_line(_record(**fields), args.output)
     return EXIT_OK
+
+
+def _experiment_jobs(experiments: list) -> list:
+    """(name, kind, params, checked params, seeds) of every config entry;
+    _DataError on the first bad one."""
+    jobs = []
+    for index, exp in enumerate(experiments):
+        try:
+            name, kind = exp["name"], exp["kind"]
+            if not isinstance(name, str):
+                raise TypeError(f"name {name!r} is not a string")
+            params = exp.get("params", {})
+            if kind not in _ESTIMATORS:
+                raise _DataError(f"experiment {name!r}: unknown kind {kind!r}")
+            missing = [p for p in _ESTIMATORS[kind][0] if p not in params]
+            if missing:
+                raise _DataError(f"experiment {name!r}: missing params {missing}")
+            seeds = exp.get("seeds")
+            if seeds is None:
+                base = _param("seed", exp["seed"])
+                seeds = [base + i for i in range(int(exp.get("repetitions", 1)))]
+            elif not isinstance(seeds, list):
+                raise TypeError(f"seeds {seeds!r} is not an array")
+            checked, seeds = _checked(kind, params, seeds)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _DataError(f"experiment entry {index}: {exc}") from exc
+        jobs.append((name, kind, params, checked, seeds))
+    return jobs
 
 
 def _cmd_experiment(args) -> int:
@@ -299,41 +372,26 @@ def _cmd_experiment(args) -> int:
         config.get("experiments"), list
     ):
         raise _DataError("config must be an object with an 'experiments' array")
-    experiments = config["experiments"]
-    names = [e.get("name") for e in experiments]
+    jobs = _experiment_jobs(config["experiments"])
+    names = [job[0] for job in jobs]
     if len(names) != len(set(names)):
         raise _DataError("duplicate experiment names in config")
-    lines = []
-    for exp in experiments:
-        try:
-            name = exp["name"]
-            kind = exp["kind"]
-            params = exp.get("params", {})
-            seeds = exp.get("seeds")
-            if seeds is None:
-                base = int(exp["seed"])
-                seeds = [base + i for i in range(int(exp.get("repetitions", 1)))]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _DataError(f"bad experiment entry: {exc}") from exc
-        if kind not in _ESTIMATORS:
-            raise _DataError(f"experiment {name!r}: unknown kind {kind!r}")
-        missing = [p for p in _ESTIMATORS[kind][0] if p not in params]
-        if missing:
-            raise _DataError(f"experiment {name!r}: missing params {missing}")
-        for seed in seeds:
-            lines.append(
-                _record(
-                    experiment=name,
-                    kind=kind,
-                    params=params,
-                    seed=int(seed),
-                    **_estimate(kind, params, int(seed)),
-                )
-            )
+    lines = [
+        _record(
+            experiment=name,
+            kind=kind,
+            params=params,
+            seed=seed,
+            **_estimate(kind, checked, seed),
+        )
+        for name, kind, params, checked, seeds in jobs
+        for seed in seeds
+    ]
     _write_line("\n".join(lines) if lines else "", args.output)
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="listpack",
@@ -411,17 +469,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except _DataError as exc:
+    except _UsageError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_DATA
-    except InstanceFormatError as exc:
+        return EXIT_USAGE
+    except (_DataError, InstanceFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
 

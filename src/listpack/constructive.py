@@ -29,10 +29,11 @@ from .core import (
     Graph,
     ListAssignment,
     Packing,
+    barred_slots,
     degeneracy_order,  # noqa: F401 - re-exported
     validate_packing,
 )
-from .exact import _directed_conflicts, find_independent_transversal
+from .exact import find_independent_transversal
 from .matching import perfect_matching
 
 
@@ -54,21 +55,12 @@ def pack_degenerate(cover: CorrespondenceCover) -> Packing:
     order, d = g.peel
     if k < 2 * d:
         raise ValueError(f"need k >= 2*degeneracy = {2 * d}, got k = {k}")
-    conf = _directed_conflicts(cover)
+    conflicts = cover.conflicts
     full = (1 << k) - 1
     columns: dict[int, list[int]] = {}
     for v in order:
-        allowed = [full] * k  # slot bitmask per colouring
-        for u in g.earlier[v]:
-            edge_conf = conf.get((u, v))
-            if edge_conf is None:
-                continue
-            cu = columns[u]
-            for i in range(k):
-                s = edge_conf.get(cu[i])
-                if s is not None:
-                    allowed[i] &= ~(1 << s)
-        col = perfect_matching(allowed, k)
+        barred = barred_slots(k, conflicts[v], g.earlier[v], columns)
+        col = perfect_matching([full & ~m for m in barred], k)
         if col is None:
             raise PackingError(f"no perfect matching at vertex {v}")
         columns[v] = col
@@ -169,6 +161,20 @@ def bipartition(g: Graph) -> Optional[tuple[list[int], list[int]]]:
     )
 
 
+def bipartite_sides(g: Graph) -> tuple[list[int], list[int], int]:
+    """(A, B, Delta_A): A is the part of the bipartition with the smaller
+    maximum degree, the first part on a tie.  Raises ValueError on an
+    odd cycle."""
+    parts = bipartition(g)
+    if parts is None:
+        raise ValueError("graph is not bipartite")
+    deg = g.degrees()
+    d0, d1 = (max((deg[v] for v in part), default=0) for part in parts)
+    if d0 <= d1:
+        return parts[0], parts[1], d0
+    return parts[1], parts[0], d1
+
+
 def pack_bipartite_ordered(g: Graph, lists: ListAssignment) -> Packing:
     """Bipartite packer for k >= min(Delta_A, Delta_B) + 1.
 
@@ -177,17 +183,8 @@ def pack_bipartite_ordered(g: Graph, lists: ListAssignment) -> Packing:
     smallest colour of L(b)) and each A vertex picks a system of distinct
     representatives of the colouring-index sets I_j.
     """
-    parts = bipartition(g)
-    if parts is None:
-        raise ValueError("graph is not bipartite")
+    a_side, _, delta_a = bipartite_sides(g)
     k = lists.uniform_size()
-    deg = g.degrees()
-    d0 = max((deg[v] for v in parts[0]), default=0)
-    d1 = max((deg[v] for v in parts[1]), default=0)
-    if d0 <= d1:
-        a_side, delta_a = parts[0], d0
-    else:
-        a_side, delta_a = parts[1], d1
     if k < delta_a + 1:
         raise ValueError(
             f"need k >= Delta_A + 1 = {delta_a + 1}, got k = {k}"
@@ -243,8 +240,7 @@ def pack_augment(
             f"need k >= 1 + Delta + chi_c_bound = {1 + delta + chi_c_bound},"
             f" got k = {k}"
         )
-    conf = _directed_conflicts(cover)
-    nbrs = g.neighbours()
+    conflicts = cover.conflicts
     colour: list[list[Optional[int]]] = [[None] * k for _ in range(g.n)]
 
     def coloured_count() -> int:
@@ -279,11 +275,8 @@ def pack_augment(
                 slots = list(range(k))
             else:
                 blocked_colours = set()
-                for u in nbrs[v]:
-                    edge_conf = conf.get((v, u))
-                    if edge_conf is None:
-                        continue
-                    j = edge_conf.get(red_slot[v])
+                for u in conflicts[v]:
+                    j = conflicts[u][v].get(red_slot[v])
                     if j is not None and colour[u][j] is not None:
                         blocked_colours.add(colour[u][j])
                 slots = [
@@ -291,12 +284,9 @@ def pack_augment(
                     for y in range(k)
                     if colour[v][y] not in blocked_colours
                 ]
-            if v != v1 and v in nbrs[v1]:
-                edge_conf = conf.get((v1, v))
-                if edge_conf is not None:
-                    j = edge_conf.get(x)
-                    if j is not None and j in slots:
-                        slots.remove(j)
+            j = conflicts[v].get(v1, {}).get(x)
+            if j in slots:
+                slots.remove(j)
             allowed.append(slots)
 
         transversal = find_independent_transversal(cover, allowed)

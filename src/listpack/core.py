@@ -19,7 +19,8 @@ Conventions used throughout the package:
 All types are immutable after construction and the validators are pure
 functions, so everything here is safe to share across threads.  A Graph
 computes its degeneracy order and earlier-neighbour lists on first use
-and keeps them (as tuples) for its lifetime.
+and keeps them (as tuples) for its lifetime; a CorrespondenceCover does
+the same with its slot conflict maps.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 SCHEMA_VERSION = "listpack/1"
 
@@ -94,7 +95,7 @@ class Graph:
 @dataclass(frozen=True)
 class ListAssignment:
     """Per-vertex colour lists; each list is a sorted tuple of distinct
-    non-negative integers."""
+    non-negative integers (bools and floats are rejected)."""
 
     lists: tuple[tuple[int, ...], ...]
 
@@ -103,6 +104,8 @@ class ListAssignment:
         out = []
         for i, lst in enumerate(lists):
             t = tuple(sorted(lst))
+            if any(isinstance(c, bool) or not isinstance(c, int) for c in t):
+                raise ValueError(f"non-integer colour in list of vertex {i}")
             if len(set(t)) != len(t):
                 raise ValueError(f"duplicate colour in list of vertex {i}")
             if any(c < 0 for c in t):
@@ -156,6 +159,48 @@ class CorrespondenceCover:
         if u < v:
             return self.matchings.get((u, v), ())
         return tuple((j, i) for i, j in self.matchings.get((v, u), ()))
+
+    @property
+    def conflicts(self) -> tuple[dict[int, dict[int, int]], ...]:
+        """conflicts[v][u][s]: the slot of v that conflicts with slot s of
+        the neighbour u.  Edges with empty matchings are left out.
+        Computed once per instance and shared: callers must not modify
+        it."""
+        # cached by hand: functools.cached_property takes a lock on first
+        # use before Python 3.12, which every fresh decider cover pays
+        cached = self.__dict__.get("_conflicts")
+        if cached is not None:
+            return cached
+        conf: list[dict[int, dict[int, int]]] = [{} for _ in range(self.graph.n)]
+        for (u, v), pairs in self.matchings.items():
+            if pairs:
+                conf[v][u] = dict(pairs)
+                conf[u][v] = {j: i for i, j in pairs}
+        self.__dict__["_conflicts"] = cached = tuple(conf)
+        return cached
+
+
+def barred_slots(
+    k: int,
+    conflicts_v: Mapping[int, Mapping[int, int]],
+    sources: Iterable[int],
+    columns: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
+) -> list[int]:
+    """barred[i]: bitmask of the slots of v that conflict with
+    columns[u][i] for some u in sources.
+
+    conflicts_v is cover.conflicts[v]; columns[u] holds the k slots the
+    fixed vertex u gives its colourings, one per colouring.
+    """
+    barred = [0] * k
+    for u in sources:
+        edge = conflicts_v.get(u)
+        if edge is not None:
+            for i, t in enumerate(columns[u]):
+                s = edge.get(t)
+                if s is not None:
+                    barred[i] |= 1 << s
+    return barred
 
 
 @dataclass(frozen=True)
@@ -340,9 +385,12 @@ def _graph_from_obj(obj: dict) -> Graph:
 
 def instance_from_obj(obj: dict):
     """Parse an instance dict; returns either (Graph, ListAssignment) for
-    list mode or a CorrespondenceCover for cover mode."""
+    list mode or a CorrespondenceCover for cover mode.  An instance with
+    both 'lists' and 'matchings' is rejected."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
+    if "lists" in obj and "matchings" in obj:
+        raise InstanceFormatError("instance has both 'lists' and 'matchings'")
     g = _graph_from_obj(obj)
     if "lists" in obj:
         try:

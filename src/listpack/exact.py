@@ -20,6 +20,7 @@ from .core import (  # noqa: F401 - degeneracy_order is re-exported
     Graph,
     ListAssignment,
     Packing,
+    barred_slots,
     degeneracy_order,
     list_to_cover,
     slots_to_colours,
@@ -49,15 +50,6 @@ def _as_budget(budget) -> _Budget:
     return budget if isinstance(budget, _Budget) else _Budget(budget)
 
 
-def _directed_conflicts(cover: CorrespondenceCover) -> dict:
-    """Slot conflict maps for both orientations of every edge."""
-    conf: dict[tuple[int, int], dict[int, int]] = {}
-    for (u, v), pairs in cover.matchings.items():
-        conf[(u, v)] = {i: j for i, j in pairs}
-        conf[(v, u)] = {j: i for i, j in pairs}
-    return conf
-
-
 def find_packing(
     cover: CorrespondenceCover, budget: Optional[int] = None
 ) -> Optional[Packing]:
@@ -74,7 +66,7 @@ def find_packing(
         raise ValueError(err)
     g, k = cover.graph, cover.k
     order, earlier = g.peel[0], g.earlier
-    conf = _directed_conflicts(cover)
+    conflicts = cover.conflicts
     b = _as_budget(budget)
     columns: list[Optional[tuple[int, ...]]] = [None] * g.n
 
@@ -82,16 +74,7 @@ def find_packing(
         if idx == g.n:
             return True
         v = order[idx]
-        forbidden = [0] * k  # slot bitmask per colouring
-        for u in earlier[v]:
-            edge_conf = conf.get((u, v))
-            if edge_conf is None:
-                continue
-            cu = columns[u]
-            for i in range(k):
-                s = edge_conf.get(cu[i])
-                if s is not None:
-                    forbidden[i] |= 1 << s
+        forbidden = barred_slots(k, conflicts[v], earlier[v], columns)
         col = [0] * k
 
         def rec(i: int, used: int) -> bool:
@@ -133,33 +116,27 @@ def find_independent_transversal(
     allowed: Sequence[Sequence[int]],
     budget: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
-    """One slot per vertex, within allowed[v], no matched pair chosen."""
+    """One slot per vertex, within allowed[v], no matched pair chosen:
+    the search of find_packing for a single colouring."""
     g, k = cover.graph, cover.k
     for v, slots in enumerate(allowed):
         if any(not (0 <= s < k) for s in slots):
             raise ValueError(f"allowed[{v}] contains a slot outside 0..{k - 1}")
     order, earlier = g.peel[0], g.earlier
-    conf = _directed_conflicts(cover)
+    conflicts = cover.conflicts
     b = _as_budget(budget)
-    chosen: list[Optional[int]] = [None] * g.n
+    chosen: list[Optional[tuple[int]]] = [None] * g.n  # one-slot columns
 
     def dfs(idx: int) -> bool:
         if idx == g.n:
             return True
         v = order[idx]
-        forbidden = set()
-        for u in earlier[v]:
-            edge_conf = conf.get((u, v))
-            if edge_conf is None:
-                continue
-            s = edge_conf.get(chosen[u])
-            if s is not None:
-                forbidden.add(s)
+        forbidden = barred_slots(1, conflicts[v], earlier[v], chosen)[0]
         for s in sorted(allowed[v]):
             b.spend()
-            if s in forbidden:
+            if forbidden >> s & 1:
                 continue
-            chosen[v] = s
+            chosen[v] = (s,)
             if dfs(idx + 1):
                 return True
         chosen[v] = None
@@ -167,7 +144,7 @@ def find_independent_transversal(
 
     if not dfs(0):
         return None
-    return tuple(chosen)  # type: ignore[arg-type]
+    return tuple(c[0] for c in chosen)  # type: ignore[index]
 
 
 def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:

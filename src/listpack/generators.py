@@ -2,7 +2,8 @@
 material: the 4-cycle with 2-lists, the complete bipartite
 correspondence cover showing tightness of the 2*degeneracy bound, the
 iterated shift construction with degeneracy d and (d+1)-lists, and the
-K_{b^b,b} disjoint-lists assignment.
+K_{b^b,b} disjoint-lists assignment; plus the random bipartite covers
+that the Moser-Tardos packer is measured on.
 
 Colour identifiers follow the written instances and are 1-based; the
 core layer does not care.
@@ -10,6 +11,7 @@ core layer does not care.
 
 from __future__ import annotations
 
+import random
 from itertools import permutations, product
 
 from .core import CorrespondenceCover, Graph, ListAssignment
@@ -135,3 +137,26 @@ def gen_kbb_lists(b: int) -> tuple[Graph, ListAssignment]:
     g = Graph.from_edges(n, edges)
     lists = ListAssignment.from_lists(small_lists + large_lists)
     return g, lists
+
+
+def gen_random_bipartite_cover(
+    side: int, degree: int, k: int, seed: int
+) -> CorrespondenceCover:
+    """Random k-fold cover of a bipartite graph with parts 0..side-1 and
+    side..2*side-1: the union of `degree` uniform random perfect matchings
+    between the parts (repeated edges merged), and a uniform random full
+    slot matching on every edge.  A pure function of its arguments."""
+    rng = random.Random(seed)
+    edges = set()
+    for _ in range(degree):
+        perm = list(range(side))
+        rng.shuffle(perm)
+        for a in range(side):
+            edges.add((a, side + perm[a]))
+    g = Graph.from_edges(2 * side, sorted(edges))
+    matchings = {}
+    for u, v in sorted(g.edges):
+        perm = list(range(k))
+        rng.shuffle(perm)
+        matchings[(u, v)] = [(i, perm[i]) for i in range(k)]
+    return CorrespondenceCover.from_matchings(g, k, matchings)

@@ -28,16 +28,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constructive import PackingError, bipartition
+from .constructive import PackingError, bipartite_sides, bipartition
 from .core import (
     CorrespondenceCover,
     Graph,
     ListAssignment,
     Packing,
+    barred_slots,
     list_to_cover,
     validate_packing,
 )
-from .exact import _directed_conflicts
+from .matching import perfect_matching
 from .matrixlab import BinaryMatrix, one_transversal
 
 
@@ -141,44 +142,23 @@ def pack_bipartite_lll(
     if given, receives the bad vertex id at every resampling step.
     """
     g, k = cover.graph, cover.k
-    parts = bipartition(g)
-    if parts is None:
-        raise ValueError("graph is not bipartite")
-    deg = g.degrees()
-    d0 = max((deg[v] for v in parts[0]), default=0)
-    d1 = max((deg[v] for v in parts[1]), default=0)
-    a_side = parts[0] if d0 <= d1 else parts[1]
-    b_side = parts[1] if d0 <= d1 else parts[0]
+    a_side, b_side, _ = bipartite_sides(g)
     if max_resamples is None:
         max_resamples = 10 * len(a_side)
-    conf = _directed_conflicts(cover)
+    conflicts = cover.conflicts
     nbrs = g.neighbours()
+    full = (1 << k) - 1
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     ordering: dict[int, list[int]] = {
         b: [int(s) for s in rng.permutation(k)] for b in b_side
     }
 
-    def conflict_matrix(a: int) -> BinaryMatrix:
-        # entry (i, s): slot s of a collides with some neighbour's
-        # colouring-i choice through the edge matching
-        bits = [[0] * k for _ in range(k)]
-        for b in nbrs[a]:
-            edge_conf = conf.get((b, a))
-            if edge_conf is None:
-                continue
-            for i in range(k):
-                s = edge_conf.get(ordering[b][i])
-                if s is not None:
-                    bits[i][s] = 1
-        return BinaryMatrix.from_rows(bits)
-
-    def zero_trans(a: int) -> Optional[tuple[int, ...]]:
-        m = conflict_matrix(a)
-        complement = BinaryMatrix.from_rows(
-            [[1 - e for e in row] for row in m.bits]
-        )
-        return one_transversal(complement)
+    def zero_trans(a: int) -> Optional[list[int]]:
+        # a 0-transversal of the conflict matrix of a: colouring i takes
+        # a slot that no neighbour's colouring-i slot collides with
+        barred = barred_slots(k, conflicts[a], nbrs[a], ordering)
+        return perfect_matching([full & ~m for m in barred], k)
 
     resamples = 0
     while True:

@@ -48,7 +48,12 @@ from listpack.exact import (
     find_list_packing,
     find_packing,
 )
-from listpack.generators import gen_c4, gen_kab_cover, gen_shift_construction
+from listpack.generators import (
+    gen_c4,
+    gen_kab_cover,
+    gen_random_bipartite_cover,
+    gen_shift_construction,
+)
 from listpack.matrixlab import (
     BinaryMatrix,
     CountMatrix,
@@ -445,20 +450,7 @@ def test_criterion_14_randomized_packers_validity(report):
 
     lll_success = 0
     for seed in range(500):
-        rng = random.Random(140000 + seed)
-        edges = set()
-        for _ in range(8):
-            perm = list(range(40))
-            rng.shuffle(perm)
-            for a in range(40):
-                edges.add((a, 40 + perm[a]))
-        gb = Graph.from_edges(80, sorted(edges))
-        matchings = {}
-        for u, v in sorted(gb.edges):
-            perm = list(range(9))
-            rng.shuffle(perm)
-            matchings[(u, v)] = [(i, perm[i]) for i in range(9)]
-        cov = CorrespondenceCover.from_matchings(gb, 9, matchings)
+        cov = gen_random_bipartite_cover(40, 8, 9, 140000 + seed)
         p = pack_bipartite_lll(cov, seed=seed)
         if p is None:
             continue

@@ -108,6 +108,63 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_bad_budget_env_var_is_64(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "c4.json"
+    run(capsys, "gen", "c4", "-o", str(inst))
+    graph = tmp_path / "p2.json"
+    graph.write_text('{"n": 2, "edges": [[0, 1]]}')
+    monkeypatch.setenv("LISTPACK_BUDGET", "abc")
+    for argv in (["solve", str(inst)], ["chi-star", "list", str(graph), "--k", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and "LISTPACK_BUDGET" in err
+
+
+def test_solve_bad_colours_and_mixed_instances_are_65(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for obj in (
+        {"n": 2, "edges": [[0, 1]], "lists": [[True, 2], [1, 2]]},
+        {"n": 2, "edges": [[0, 1]], "lists": [[1.5, 2], [1, 2]]},
+        {"n": 2, "edges": [[0, 1]], "lists": [[1], [2]], "k": 1, "matchings": {}},
+    ):
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 65 and out == "" and err and "Traceback" not in err
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    from listpack.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    inst = tmp_path / "k2.json"
+    inst.write_text('{"n": 2, "edges": [[0, 1]], "lists": [[1, 2], [1, 2]]}')
+    mz = ["matrix", "zero-transversal", "--n", "2", "--k", "3", "--trials", "50"]
+    packing = {"k": 2, "mode": "list", "colourings": [[2, 1], [1, 2]]}
+    records = {}
+    for argv, want in [
+        (["gen", "c4"], 0),
+        (["solve", str(inst)], 0),
+        (["solve", str(inst), "--bogus"], 64),
+        (mz + ["--seed", "3"], 0),
+        (["chi-star", "list", str(inst), "--k", "0"], 64),
+        (["solve", str(inst), "--budget", "0"], 2),
+        (mz + ["--seed", "4"], 0),
+        (["solve", str(inst)], 0),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == want, (argv, err)
+        if want == 64:
+            assert out == "" and err
+        else:
+            records.setdefault(tuple(argv[:2]), []).append(record(out))
+    assert records["gen", "c4"][0]["lists"] == [[1, 2], [1, 2], [1, 3], [2, 3]]
+    solves = records["solve", str(inst)]
+    assert [r["result"] for r in solves] == ["packing", "budget-exceeded", "packing"]
+    assert solves[0]["packing"] == solves[2]["packing"] == packing
+    seed3, seed4 = records["matrix", "zero-transversal"]
+    assert seed3["predicted"] == seed4["predicted"]
+    assert 0 <= seed3["estimate"] <= 1 and 0 <= seed4["estimate"] <= 1
+
+
 def test_unknown_subcommand_is_64(capsys):
     assert run(capsys, "frobnicate")[0] == 64
     assert run(capsys)[0] == 64
@@ -213,6 +270,27 @@ def test_matrix_perm_zero_record(capsys):
         "--exact",
     )
     assert record(out)["exact"] == 9 / 16
+
+
+def test_matrix_bad_params_are_64(capsys):
+    pz = {"--k": "4", "--p": "0.5", "--trials": "10", "--seed": "1"}
+    zt = {"--n": "2", "--k": "3", "--trials": "10", "--seed": "1"}
+    for kind, flags, flag, value in [
+        ("perm-zero", pz, "--seed", "-1"),
+        ("perm-zero", pz, "--seed", str(2**128)),
+        ("perm-zero", pz, "--trials", "0"),
+        ("perm-zero", pz, "--k", "0"),
+        ("perm-zero", pz, "--p", "1.5"),
+        ("perm-zero", pz, "--p", "nan"),
+        ("zero-transversal", zt, "--n", "0"),
+        ("zero-transversal", zt, "--seed", "-1"),
+    ]:
+        argv = ["matrix", kind]
+        for f, v in {**flags, flag: value}.items():
+            argv += [f, v]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "", argv
+        assert err.startswith(flag) and "Traceback" not in err, argv
 
 
 def test_matrix_zero_transversal_record(capsys):
@@ -328,6 +406,26 @@ def test_experiment_config_errors(tmp_path, capsys):
     )
     code, _, err = run(capsys, "experiment", str(dup))
     assert code == 65 and "duplicate" in err
+
+    good = {"name": "z", "kind": "perm-zero", "params": {"k": 2, "p": 0.5, "trials": 10}}
+    for entry in (
+        {**good, "seed": -1},
+        {**good, "seeds": [1, -1]},
+        {**good, "seeds": "12"},
+        {**good, "seed": 1, "params": {"k": "x", "p": 0.5, "trials": 10}},
+        {**good, "seed": 1, "params": {"k": 2.5, "p": 0.5, "trials": 10}},
+        {**good, "seed": 1, "params": {"k": 2, "p": True, "trials": 10}},
+        {**good, "seed": 1, "params": {"k": 2, "p": 0.5, "trials": 0}},
+        {**good, "seed": 1, "name": ["z"]},
+        {**good, "seed": 1, "kind": ["perm-zero"]},
+        {**good, "seed": 1, "params": 3},
+        "z",
+    ):
+        bad = tmp_path / "bad.json"
+        config = {"experiments": [{**good, "name": "ok", "seed": 1}, entry]}
+        bad.write_text(json.dumps(config))
+        code, out, err = run(capsys, "experiment", str(bad))
+        assert code == 65 and out == "" and err and "Traceback" not in err, entry
 
     bad_kind = tmp_path / "bk.json"
     bad_kind.write_text(

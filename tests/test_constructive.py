@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -19,6 +21,8 @@ from listpack.core import (
     list_to_cover,
     validate_packing,
 )
+from listpack.generators import gen_random_bipartite_cover
+from listpack.probabilistic import pack_bipartite_lll
 
 
 def random_graph(rng, n, p=0.5):
@@ -224,3 +228,54 @@ def test_augment_edgeless_graph():
     cover = CorrespondenceCover.from_matchings(g, 2, {})
     p = pack_augment(cover)
     assert validate_packing(cover, p) is None
+
+
+# ---------------------------------------------------------------------------
+# outputs pinned across rewrites of the conflict maps
+# ---------------------------------------------------------------------------
+
+
+def random_partial_cover(rng, g, k):
+    # about a fifth of the edges carry the empty matching, the rest keep
+    # each slot pair of a random permutation with probability 0.6
+    matchings = {}
+    for u, v in sorted(g.edges):
+        perm = list(range(k))
+        rng.shuffle(perm)
+        keep = 0.0 if rng.random() < 0.2 else 0.6
+        matchings[(u, v)] = [(i, perm[i]) for i in range(k) if rng.random() < keep]
+    return CorrespondenceCover.from_matchings(g, k, matchings)
+
+
+#: sha256 prefixes of the packings' colourings, recorded before the
+#: packers shared core.barred_slots and CorrespondenceCover.conflicts
+PINNED_PACKINGS = {
+    ("degenerate", 1): "26f154dba732ffa6",
+    ("augment", 1): "43c39073d53183e1",
+    ("bip-lll", 1): "c5241573e921d529",
+    ("degenerate", 2): "3dea2b6e4acfed8a",
+    ("augment", 2): "16b376accb92ef54",
+    ("bip-lll", 2): "c335ef33d7c04069",
+    ("degenerate", 3): "ee8c994bedcfd1dc",
+    ("augment", 3): "619b49d18243615a",
+    ("bip-lll", 3): "d81526305eb8088c",
+}
+
+
+def test_packer_outputs_are_pinned():
+    def digest(p):
+        return hashlib.sha256(json.dumps(p.colourings).encode()).hexdigest()[:16]
+
+    got = {}
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        g = random_graph(rng, 12, 0.3)
+        cover = random_partial_cover(rng, g, 2 * g.peel[1])
+        got["degenerate", seed] = digest(pack_degenerate(cover))
+        g = random_graph(rng, 9, 0.35)
+        d = g.peel[1]
+        cover = random_partial_cover(rng, g, 2 + g.max_degree() + d)
+        got["augment", seed] = digest(pack_augment(cover, chi_c_bound=d + 1))
+        cover = gen_random_bipartite_cover(10, 3, 4, seed)
+        got["bip-lll", seed] = digest(pack_bipartite_lll(cover, seed=seed))
+    assert got == PINNED_PACKINGS

@@ -9,6 +9,7 @@ from listpack.core import (
     InstanceFormatError,
     ListAssignment,
     Packing,
+    barred_slots,
     degeneracy_order,
     dumps,
     instance_from_obj,
@@ -100,6 +101,37 @@ def test_validate_packing_cover_mode():
     assert validate_packing(cover, conflicting) is not None
 
 
+def test_conflicts_and_barred_slots():
+    # P3 at k=3: edge (0,1) swaps slots 0 and 1 and pairs slot 2 with
+    # itself, edge (1,2) matches only slot 0 of 1 with slot 2 of 2, and
+    # the edge (0,2) is absent from P3
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    cover = CorrespondenceCover.from_matchings(
+        g, 3, {(0, 1): [(0, 1), (1, 0), (2, 2)], (1, 2): [(0, 2)]}
+    )
+    assert cover.conflicts == (
+        {1: {0: 1, 1: 0, 2: 2}},
+        {0: {0: 1, 1: 0, 2: 2}, 2: {2: 0}},
+        {1: {0: 2}},
+    )
+    assert cover.conflicts is cover.conflicts  # computed once
+    for v in range(g.n):
+        for u, edge in cover.conflicts[v].items():
+            assert sorted(edge.items()) == sorted(cover.matching(u, v))
+    columns = [(2, 0, 1), None, (1, 2, 0)]  # slots of 0 and 2 per colouring
+    # colouring 0: 0 bars slot 2 of 1, 2 bars nothing; colouring 1: 0 bars
+    # slot 1, 2 bars slot 0; colouring 2: 0 bars slot 0, 2 bars nothing
+    assert barred_slots(3, cover.conflicts[1], [0, 2], columns) == [
+        0b100,
+        0b011,
+        0b001,
+    ]
+    assert barred_slots(3, cover.conflicts[1], [2], columns) == [0, 0b001, 0]
+    # an edge with the empty matching bars nothing
+    empty = CorrespondenceCover.from_matchings(g, 3, {(0, 1): []})
+    assert empty.conflicts == ({}, {}, {})
+
+
 def test_slot_colour_conversions_invert():
     la = ListAssignment.from_lists([{1, 5}, {2, 7}])
     p = Packing.from_rows("list", [(1, 7), (5, 2)])
@@ -137,6 +169,9 @@ def test_packing_json_round_trip():
         {"n": 2, "edges": [[0, 5]], "lists": [[1], [2]]},
         {"n": 2, "edges": [[0, 1]], "k": 2, "matchings": {"0-1": [[0, 5]]}},
         [],
+        {"n": 2, "edges": [[0, 1]], "lists": [[True, 2], [1, 2]]},
+        {"n": 2, "edges": [[0, 1]], "lists": [[1.5, 2], [1, 2]]},
+        {"n": 2, "edges": [[0, 1]], "lists": [[1], [2]], "k": 1, "matchings": {}},
     ],
 )
 def test_malformed_instances_rejected(obj):

@@ -1,7 +1,10 @@
+import hashlib
 from itertools import permutations
 
 from listpack.core import (
     degeneracy_order,
+    dumps,
+    instance_to_obj,
     list_to_cover,
     validate_cover,
 )
@@ -10,6 +13,7 @@ from listpack.generators import (
     gen_c4,
     gen_kab_cover,
     gen_kbb_lists,
+    gen_random_bipartite_cover,
     gen_shift_construction,
 )
 
@@ -101,3 +105,18 @@ def test_kbb_b1_and_b3_are_well_formed():
     g3, l3 = gen_kbb_lists(3)
     assert g3.n == 27 + 3
     assert all(len(lst) == 3 for lst in l3.lists)
+
+
+def test_random_bipartite_cover_is_pinned():
+    # criterion 14 and scripts/lll_baseline.py build their instances
+    # with this generator; the digest of seed 140000 (side 40, degree 8,
+    # k 9) was recorded when both still built the cover inline
+    cover = gen_random_bipartite_cover(40, 8, 9, 140000)
+    digest = hashlib.sha256(dumps(instance_to_obj(cover)).encode()).hexdigest()
+    assert digest[:16] == "b1a0475704f45c10"
+    assert validate_cover(cover) is None
+    g = cover.graph
+    assert g.n == 80 and all(u < 40 <= v for u, v in g.edges)
+    assert max(g.degrees()) <= 8
+    assert all(len(pairs) == 9 for pairs in cover.matchings.values())
+    assert gen_random_bipartite_cover(40, 8, 9, 140000) == cover

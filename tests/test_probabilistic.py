@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 
 import pytest
@@ -10,6 +9,7 @@ from listpack.core import (
     list_to_cover,
     validate_packing,
 )
+from listpack.generators import gen_random_bipartite_cover
 from listpack.probabilistic import (
     FractionalColoring,
     fc_from_bipartition,
@@ -146,31 +146,12 @@ def test_b_side_marginal_is_uniform():
     assert chi2 < 20.52
 
 
-def random_lll_instance(seed):
-    rng = random.Random(seed)
-    na = nb = 40
-    edges = set()
-    for _ in range(8):
-        perm = list(range(nb))
-        rng.shuffle(perm)
-        for a in range(na):
-            edges.add((a, na + perm[a]))
-    g = Graph.from_edges(na + nb, sorted(edges))
-    k = 9
-    matchings = {}
-    for u, v in sorted(g.edges):
-        perm = list(range(k))
-        rng.shuffle(perm)
-        matchings[(u, v)] = [(i, perm[i]) for i in range(k)]
-    return CorrespondenceCover.from_matchings(g, k, matchings)
-
-
 def test_pack_bipartite_lll_baseline_degree8():
     # empirical baseline: random 8-regular bipartite covers with |A| =
     # |B| = 40 and k = 9 all pack within the default resample budget
     successes = 0
     for seed in range(25):
-        cover = random_lll_instance(1000 + seed)
+        cover = gen_random_bipartite_cover(40, 8, 9, 1000 + seed)
         p = pack_bipartite_lll(cover, seed=seed)
         if p is not None:
             assert validate_packing(cover, p) is None
