@@ -8,8 +8,9 @@ human-readable goes to stderr.  "-" stands for stdin/stdout.
 Exit codes: 0 packing found / all-pack / estimator ran; 1 no packing /
 witness found; 2 search budget exceeded; 64 usage errors (unknown
 subcommand, bad flags, a bad LISTPACK_BUDGET); 65 malformed instance or
-config.  The LISTPACK_BUDGET environment variable overrides the default
-search budget for solve and chi-star.
+config, or a --chi-c-bound too small for the cover.  The LISTPACK_BUDGET
+environment variable overrides the default search budget for solve and
+chi-star.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Mapping, Optional
 
 from . import __version__
 from .constructive import (
+    PackingError,
     pack_augment,
     pack_bipartite_ordered,
     pack_complete,
@@ -34,6 +36,7 @@ from .core import (
     InstanceFormatError,
     SCHEMA_VERSION,
     _graph_from_obj,
+    checked_int,
     dumps,
     instance_from_obj,
     instance_to_obj,
@@ -129,16 +132,10 @@ def _default_budget(args) -> Optional[int]:
 def _cmd_solve(args) -> int:
     budget = _default_budget(args)
     instance = _read_instance(args.instance)
-    try:
-        if isinstance(instance, CorrespondenceCover):
-            packing = find_packing(instance, budget=budget)
-        else:
-            packing = find_list_packing(*instance, budget=budget)
-    except BudgetExceeded:
-        _write_line(_record(result="budget-exceeded"), args.output)
-        return EXIT_BUDGET
-    except ValueError as exc:  # e.g. lists of unequal or zero size
-        raise _DataError(f"{args.instance}: {exc}") from exc
+    if isinstance(instance, CorrespondenceCover):
+        packing = find_packing(instance, budget=budget)
+    else:
+        packing = find_list_packing(*instance, budget=budget)
     if packing is None:
         _write_line(_record(result="none"), args.output)
         return EXIT_NONE
@@ -150,8 +147,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_chi_star(args) -> int:
-    if args.k < 1:
-        raise _UsageError("--k must be positive")
+    k = _flag("k", args.k)
     budget = _default_budget(args)
     obj = _read_json(args.graph)
     try:
@@ -159,19 +155,15 @@ def _cmd_chi_star(args) -> int:
     except InstanceFormatError as exc:
         raise _DataError(f"{args.graph}: {exc}") from exc
     decide = decide_chi_star_list if args.mode == "list" else decide_chi_star_corr
-    try:
-        witness = decide(g, args.k, budget=budget)
-    except BudgetExceeded:
-        _write_line(_record(result="budget-exceeded"), args.output)
-        return EXIT_BUDGET
+    witness = decide(g, k, budget=budget)
     if witness is None:
-        _write_line(_record(result="all-pack", k=args.k), args.output)
+        _write_line(_record(result="all-pack", k=k), args.output)
         return EXIT_OK
     if args.mode == "list":
         payload = instance_to_obj((g, witness))
     else:
         payload = instance_to_obj(witness)
-    _write_line(_record(result="witness", k=args.k, witness=payload), args.output)
+    _write_line(_record(result="witness", k=k, witness=payload), args.output)
     return EXIT_NONE
 
 
@@ -182,45 +174,54 @@ def _as_cover(instance) -> CorrespondenceCover:
 
 
 def _cmd_pack(args) -> int:
+    seed = None if args.seed is None else _flag("seed", args.seed)
+    if args.chi_c_bound is not None and args.chi_c_bound < 1:
+        raise _UsageError("--chi-c-bound must be positive")
     instance = _read_instance(args.instance)
-    is_cover = isinstance(instance, CorrespondenceCover)
+    list_only = ("complete", "bip-ordered", "fractional")
+    if isinstance(instance, CorrespondenceCover) and args.method in list_only:
+        raise _DataError(f"method {args.method} needs a list-mode instance")
     try:
         if args.method == "degenerate":
             packing = pack_degenerate(_as_cover(instance))
         elif args.method == "complete":
-            if is_cover:
-                raise _DataError("method complete needs a list-mode instance")
             g, lists = instance
             packing = pack_complete(lists, lists.uniform_size())
         elif args.method == "bip-ordered":
-            if is_cover:
-                raise _DataError("method bip-ordered needs a list-mode instance")
             packing = pack_bipartite_ordered(*instance)
         elif args.method == "augment":
-            packing = pack_augment(_as_cover(instance), args.chi_c_bound)
+            try:
+                packing = pack_augment(_as_cover(instance), args.chi_c_bound)
+            except PackingError as exc:
+                if args.chi_c_bound is None:
+                    raise  # the default bound always holds: a bug
+                raise _DataError(f"--chi-c-bound {args.chi_c_bound}: {exc}") from None
         elif args.method == "fractional":
-            if is_cover:
-                raise _DataError("method fractional needs a list-mode instance")
-            if args.seed is None or args.fc is None:
+            if seed is None or args.fc is None:
                 raise _UsageError("method fractional requires --seed and --fc")
             fc_obj = _read_json(args.fc)
             try:
                 fc = FractionalColoring.from_sets(
-                    int(fc_obj["a"]), int(fc_obj["b"]), fc_obj["assignment"]
+                    checked_int(fc_obj["a"], "a"),
+                    checked_int(fc_obj["b"], "b"),
+                    [
+                        [checked_int(c, "class member") for c in members]
+                        for members in fc_obj["assignment"]
+                    ],
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise _DataError(f"{args.fc}: bad fractional colouring: {exc}")
             g, lists = instance
             packing = pack_fractional(
-                g, lists, fc, max_rounds=args.max_rounds, seed=args.seed
+                g, lists, fc, max_rounds=args.max_rounds, seed=seed
             )
         elif args.method == "bip-lll":
-            if args.seed is None:
+            if seed is None:
                 raise _UsageError("method bip-lll requires --seed")
             packing = pack_bipartite_lll(
                 _as_cover(instance),
                 max_resamples=args.max_resamples,
-                seed=args.seed,
+                seed=seed,
             )
         else:  # pragma: no cover - argparse restricts choices
             return EXIT_USAGE
@@ -241,14 +242,17 @@ def _cmd_pack(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "c4":
-        instance = gen_c4()
-    elif args.family == "kab-cover":
-        instance = gen_kab_cover(args.d)
-    elif args.family == "shift":
-        instance = gen_shift_construction(args.d)
-    else:
-        instance = gen_kbb_lists(args.b)
+    try:
+        if args.family == "c4":
+            instance = gen_c4()
+        elif args.family == "kab-cover":
+            instance = gen_kab_cover(args.d)
+        elif args.family == "shift":
+            instance = gen_shift_construction(args.d)
+        else:
+            instance = gen_kbb_lists(args.b)
+    except ValueError as exc:  # a size the family does not support
+        raise _UsageError(f"gen {args.family}: {exc}") from None
     obj = instance_to_obj(instance)
     obj["schema"] = SCHEMA_VERSION
     _write_line(dumps(obj), args.output)
@@ -305,6 +309,14 @@ def _param(name: str, value):
     return x
 
 
+def _flag(name: str, value: str):
+    """The flag --name parsed by _param; _UsageError if it is bad."""
+    try:
+        return _param(name, value)
+    except ValueError as exc:
+        raise _UsageError(f"--{exc}") from None
+
+
 def _checked(kind: str, params: Mapping, seeds) -> tuple[dict, list[int]]:
     """The required params of an estimator kind and the seeds, each
     passed through _param; KeyError names a missing param."""
@@ -325,15 +337,14 @@ def _estimate(kind: str, params: dict, seed: int) -> dict:
 
 
 def _cmd_matrix(args) -> int:
-    try:
-        params, (seed,) = _checked(args.experiment, vars(args), [args.seed])
-    except ValueError as exc:
-        raise _UsageError(f"--{exc}") from None
-    if args.exact and args.k > 4:
+    params = {q: _flag(q, vars(args)[q]) for q in _ESTIMATORS[args.experiment][0]}
+    seed = _flag("seed", args.seed)
+    if args.exact and params["k"] > 4:
         raise _UsageError("--exact supports k <= 4 only")
     fields = _estimate(args.experiment, params, seed)
     if args.exact:
-        fields["exact"] = float(zero_permanent_prob_exact(args.k, args.p))
+        exact = zero_permanent_prob_exact(params["k"], params["p"])
+        fields["exact"] = float(exact)
     _write_line(_record(**fields), args.output)
     return EXIT_OK
 
@@ -398,22 +409,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="list/correspondence packing solvers and experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--output", default="-")
 
-    p = sub.add_parser("solve", help="exact packing search on an instance")
+    p = sub.add_parser(
+        "solve", parents=[out], help="exact packing search on an instance"
+    )
     p.add_argument("instance")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("chi-star", help="decide a packing number bound")
+    p = sub.add_parser("chi-star", parents=[out], help="decide a packing number bound")
     p.add_argument("mode", choices=["list", "corr"])
     p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_chi_star)
 
-    p = sub.add_parser("pack", help="run a constructive/randomized packer")
+    p = sub.add_parser(
+        "pack", parents=[out], help="run a constructive/randomized packer"
+    )
     p.add_argument("instance")
     p.add_argument(
         "--method",
@@ -428,42 +443,31 @@ def _build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("--chi-c-bound", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--fc", default=None)
     p.add_argument("--max-rounds", type=int, default=100)
     p.add_argument("--max-resamples", type=int, default=None)
-    p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_pack)
 
-    p = sub.add_parser("gen", help="emit an extremal instance")
+    p = sub.add_parser("gen", parents=[out], help="emit an extremal instance")
     p.add_argument("family", choices=["c4", "kab-cover", "shift", "kbb"])
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--b", type=int, default=2)
-    p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("matrix", help="random-matrix Monte Carlo estimators")
     msub = p.add_subparsers(dest="experiment", required=True)
-    mp = msub.add_parser("perm-zero")
-    mp.add_argument("--k", type=int, required=True)
-    mp.add_argument("--p", type=float, required=True)
-    mp.add_argument("--trials", type=int, required=True)
-    mp.add_argument("--seed", type=int, required=True)
-    mp.add_argument("--exact", action="store_true")
-    mp.add_argument("-o", "--output", default="-")
-    mp.set_defaults(func=_cmd_matrix)
-    mz = msub.add_parser("zero-transversal")
-    mz.add_argument("--n", type=int, required=True)
-    mz.add_argument("--k", type=int, required=True)
-    mz.add_argument("--trials", type=int, required=True)
-    mz.add_argument("--seed", type=int, required=True)
-    mz.set_defaults(exact=False)
-    mz.add_argument("-o", "--output", default="-")
-    mz.set_defaults(func=_cmd_matrix)
+    for kind, (required, _, _) in _ESTIMATORS.items():
+        mp = msub.add_parser(kind, parents=[out])
+        for name in (*required, "seed"):  # parsed by _param, not argparse
+            mp.add_argument(f"--{name}", required=True)
+        mp.set_defaults(func=_cmd_matrix, exact=False)
+    msub.choices["perm-zero"].add_argument("--exact", action="store_true")
 
-    p = sub.add_parser("experiment", help="run a JSON config of experiments")
+    p = sub.add_parser(
+        "experiment", parents=[out], help="run a JSON config of experiments"
+    )
     p.add_argument("config")
-    p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_experiment)
     return parser
 
@@ -475,6 +479,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
+    except BudgetExceeded:
+        _write_line(_record(result="budget-exceeded"), args.output)
+        return EXIT_BUDGET
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,8 @@ from .core import (
     Packing,
     barred_slots,
     degeneracy_order,  # noqa: F401 - re-exported
+    list_to_cover,
+    slots_to_colours,
     validate_packing,
 )
 from .exact import find_independent_transversal
@@ -57,15 +59,14 @@ def pack_degenerate(cover: CorrespondenceCover) -> Packing:
         raise ValueError(f"need k >= 2*degeneracy = {2 * d}, got k = {k}")
     conflicts = cover.conflicts
     full = (1 << k) - 1
-    columns: dict[int, list[int]] = {}
+    columns: list[Optional[list[int]]] = [None] * g.n
     for v in order:
         barred = barred_slots(k, conflicts[v], g.earlier[v], columns)
         col = perfect_matching([full & ~m for m in barred], k)
         if col is None:
             raise PackingError(f"no perfect matching at vertex {v}")
         columns[v] = col
-    rows = [tuple(columns[v][i] for v in range(g.n)) for i in range(k)]
-    return Packing.from_rows("cover", rows)
+    return Packing.from_columns("cover", k, columns)
 
 
 def _sdr(families: list[list[int]]) -> Optional[list[int]]:
@@ -179,9 +180,11 @@ def pack_bipartite_ordered(g: Graph, lists: ListAssignment) -> Packing:
     """Bipartite packer for k >= min(Delta_A, Delta_B) + 1.
 
     The part with the smaller maximum degree extends a forced packing of
-    the other part: B gets the unique sorted packing (c_i(b) = i-th
-    smallest colour of L(b)) and each A vertex picks a system of distinct
-    representatives of the colouring-index sets I_j.
+    the other part: on the list-cover, every B vertex gets the identity
+    column (colouring i takes slot i, the i-th smallest colour of L(b))
+    and each A vertex picks a system of distinct representatives of the
+    colouring-index sets I_j, the colourings whose slot at no neighbour
+    holds the j-th colour of L(a).
     """
     a_side, _, delta_a = bipartite_sides(g)
     k = lists.uniform_size()
@@ -189,30 +192,20 @@ def pack_bipartite_ordered(g: Graph, lists: ListAssignment) -> Packing:
         raise ValueError(
             f"need k >= Delta_A + 1 = {delta_a + 1}, got k = {k}"
         )
-    a_set = set(a_side)
-    nbrs = g.neighbours()
-    rows = [[0] * g.n for _ in range(k)]
-    for b in range(g.n):
-        if b in a_set:
-            continue
-        for i in range(k):
-            rows[i][b] = lists.lists[b][i]
+    conflicts = list_to_cover(g, lists).conflicts
+    # A is independent, so its identity columns are never read
+    columns = [range(k)] * g.n
     for a in a_side:
-        la = lists.lists[a]
+        barred = barred_slots(k, conflicts[a], conflicts[a], columns)
         index_sets = [
-            sum(
-                1 << i
-                for i in range(k)
-                if all(rows[i][b] != j for b in nbrs[a])
-            )
-            for j in la
+            sum(1 << i for i in range(k) if not barred[i] >> j & 1)
+            for j in range(k)
         ]
         m = perfect_matching(index_sets, k)
         if m is None:
             raise PackingError(f"Hall condition failed at vertex {a}")
-        for j, i in zip(la, m):
-            rows[i][a] = j
-    return Packing.from_rows("list", [tuple(r) for r in rows])
+        columns[a] = sorted(range(k), key=m.__getitem__)  # colouring m[j] takes slot j
+    return slots_to_colours(lists, Packing.from_columns("cover", k, columns))
 
 
 def pack_augment(
@@ -312,13 +305,8 @@ def pack_augment(
     else:
         raise PackingError("augmentation did not terminate in n*k rounds")
 
-    rows = []
-    for i in range(k):
-        row = []
-        for v in range(g.n):
-            row.append(colour[v].index(i))
-        rows.append(tuple(row))
-    packing = Packing.from_rows("cover", rows)
+    columns = [[part.index(i) for i in range(k)] for part in colour]
+    packing = Packing.from_columns("cover", k, columns)
     err = validate_packing(cover, packing)
     if err is not None:
         raise PackingError(f"internal validation failed: {err}")

@@ -37,6 +37,14 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def checked_int(x, what: str) -> int:
+    """x itself when it is an int; ValueError otherwise.  JSON true and
+    1.5 are not integers, though int() takes them."""
+    if type(x) is not int:  # bool is a subclass of int
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -46,6 +54,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise ValueError(f"vertex count {n} is negative")
         norm = set()
         for u, v in edges:
             if u == v:
@@ -95,7 +105,7 @@ class Graph:
 @dataclass(frozen=True)
 class ListAssignment:
     """Per-vertex colour lists; each list is a sorted tuple of distinct
-    non-negative integers (bools and floats are rejected)."""
+    non-negative integers (see checked_int)."""
 
     lists: tuple[tuple[int, ...], ...]
 
@@ -103,9 +113,7 @@ class ListAssignment:
     def from_lists(lists: Iterable[Iterable[int]]) -> "ListAssignment":
         out = []
         for i, lst in enumerate(lists):
-            t = tuple(sorted(lst))
-            if any(isinstance(c, bool) or not isinstance(c, int) for c in t):
-                raise ValueError(f"non-integer colour in list of vertex {i}")
+            t = tuple(sorted(checked_int(c, f"colour of vertex {i}") for c in lst))
             if len(set(t)) != len(t):
                 raise ValueError(f"duplicate colour in list of vertex {i}")
             if any(c < 0 for c in t):
@@ -217,6 +225,14 @@ class Packing:
         if mode not in ("list", "cover"):
             raise ValueError(f"unknown packing mode {mode!r}")
         return Packing(k=len(t), mode=mode, colourings=t)
+
+    @staticmethod
+    def from_columns(
+        mode: str, k: int, columns: Sequence[Sequence[int]]
+    ) -> "Packing":
+        """Colouring i gives vertex v the entry columns[v][i]; k empty
+        colourings when there are no vertices."""
+        return Packing.from_rows(mode, zip(*columns) if columns else [()] * k)
 
     @property
     def n(self) -> int:
@@ -373,12 +389,15 @@ class InstanceFormatError(ValueError):
 
 def _graph_from_obj(obj: dict) -> Graph:
     try:
-        n = obj["n"]
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
+        n = checked_int(obj["n"], "n")
+        edges = [
+            (checked_int(u, "edge endpoint"), checked_int(v, "edge endpoint"))
+            for u, v in obj["edges"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"bad graph object: {exc}") from exc
     try:
-        return Graph.from_edges(int(n), edges)
+        return Graph.from_edges(n, edges)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
 
@@ -386,7 +405,8 @@ def _graph_from_obj(obj: dict) -> Graph:
 def instance_from_obj(obj: dict):
     """Parse an instance dict; returns either (Graph, ListAssignment) for
     list mode or a CorrespondenceCover for cover mode.  An instance with
-    both 'lists' and 'matchings' is rejected."""
+    both 'lists' and 'matchings', and lists that are empty or of unequal
+    size, are rejected."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
     if "lists" in obj and "matchings" in obj:
@@ -395,19 +415,23 @@ def instance_from_obj(obj: dict):
     if "lists" in obj:
         try:
             lists = ListAssignment.from_lists(obj["lists"])
+            k = lists.uniform_size()
         except (TypeError, ValueError) as exc:
             raise InstanceFormatError(f"bad lists: {exc}") from exc
+        if k < 1:
+            raise InstanceFormatError("lists are empty")
         if lists.n != g.n:
             raise InstanceFormatError(f"{lists.n} lists for {g.n} vertices")
         return g, lists
     if "matchings" in obj:
         try:
-            k = int(obj["k"])
+            k = checked_int(obj["k"], "k")
             matchings = {}
             for key, pairs in obj["matchings"].items():
                 u, v = key.split("-")
                 matchings[(int(u), int(v))] = [
-                    (int(i), int(j)) for i, j in pairs
+                    (checked_int(i, "slot"), checked_int(j, "slot"))
+                    for i, j in pairs
                 ]
             cover = CorrespondenceCover.from_matchings(g, k, matchings)
         except (KeyError, TypeError, ValueError) as exc:
@@ -441,9 +465,8 @@ def instance_to_obj(instance) -> dict:
 
 def packing_from_obj(obj: dict) -> Packing:
     try:
-        return Packing.from_rows(
-            obj["mode"], [[int(c) for c in row] for row in obj["colourings"]]
-        )
+        rows = [[checked_int(c, "packing entry") for c in r] for r in obj["colourings"]]
+        return Packing.from_rows(obj["mode"], rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"bad packing object: {exc}") from exc
 

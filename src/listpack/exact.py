@@ -12,8 +12,8 @@ instances into a distinct BudgetExceeded outcome rather than a silent
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from typing import Iterator, Optional, Sequence
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (  # noqa: F401 - degeneracy_order is re-exported
     CorrespondenceCover,
@@ -98,8 +98,7 @@ def find_packing(
 
     if not dfs(0):
         return None
-    rows = [tuple(columns[v][i] for v in range(g.n)) for i in range(k)]
-    return Packing.from_rows("cover", rows)
+    return Packing.from_columns("cover", k, columns)
 
 
 def find_list_packing(
@@ -173,16 +172,26 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
     yield from rec(0, 0)
 
 
+def _first_unpackable(
+    covers: Iterable[CorrespondenceCover], budget: Optional[int]
+) -> Optional[CorrespondenceCover]:
+    """The first cover that find_packing finds no packing for, every
+    search drawing on one shared budget; None when all of them pack."""
+    b = _Budget(budget)
+    for cover in covers:
+        if find_packing(cover, budget=b) is None:
+            return cover
+    return None
+
+
 def decide_chi_star_list(
     g: Graph, k: int, budget: Optional[int] = None
 ) -> Optional[ListAssignment]:
     """Witness k-list-assignment with no L-packing, or None when every
     canonical assignment packs (certifying chi*_ell(g) <= k)."""
-    b = _Budget(budget)
-    for assignment in canonical_list_assignments(g.n, k):
-        if find_packing(list_to_cover(g, assignment), budget=b) is None:
-            return assignment
-    return None
+    covers = (list_to_cover(g, a) for a in canonical_list_assignments(g.n, k))
+    witness = _first_unpackable(covers, budget)
+    return None if witness is None else witness.lists
 
 
 def decide_chi_star_corr(
@@ -198,30 +207,13 @@ def decide_chi_star_corr(
     Fixing the first edge relabels one endpoint's slots.
     """
     edges = sorted(g.edges)
-    b = _Budget(budget)
-    identity = tuple((i, i) for i in range(k))
-
-    def rec(idx: int, matchings: dict) -> Optional[CorrespondenceCover]:
-        if idx == len(edges):
-            cover = CorrespondenceCover.from_matchings(g, k, dict(matchings))
-            if find_packing(cover, budget=b) is None:
-                return cover
-            return None
-        e = edges[idx]
-        if idx == 0:
-            matchings[e] = identity
-            found = rec(idx + 1, matchings)
-            del matchings[e]
-            return found
-        for perm in permutations(range(k)):
-            matchings[e] = tuple((i, perm[i]) for i in range(k))
-            found = rec(idx + 1, matchings)
-            if found is not None:
-                return found
-            del matchings[e]
-        return None
-
     if not edges:
         # No edges: every cover packs (slot i to colouring i everywhere).
         return None
-    return rec(0, {})
+    identity = tuple((i, i) for i in range(k))
+    matchings = [tuple(enumerate(p)) for p in permutations(range(k))]
+    covers = (
+        CorrespondenceCover.from_matchings(g, k, dict(zip(edges, (identity, *rest))))
+        for rest in product(matchings, repeat=len(edges) - 1)
+    )
+    return _first_unpackable(covers, budget)

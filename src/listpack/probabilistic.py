@@ -104,8 +104,7 @@ def pack_fractional(
     rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(max_rounds):
         x = {ell: rng.integers(0, fc.a, size=k) for ell in palette}
-        rows = [[0] * g.n for _ in range(k)]
-        ok = True
+        columns = []
         for v in range(g.n):
             lv = lists.lists[v]
             cv = fc.assignment[v]
@@ -114,12 +113,10 @@ def pack_fractional(
             )
             sigma = one_transversal(indicator)
             if sigma is None:
-                ok = False
                 break
-            for i in range(k):
-                rows[i][v] = lv[sigma[i]]
-        if ok:
-            packing = Packing.from_rows("list", [tuple(r) for r in rows])
+            columns.append([lv[s] for s in sigma])
+        else:
+            packing = Packing.from_columns("list", k, columns)
             err = validate_packing(list_to_cover(g, lists), packing)
             if err is not None:
                 raise PackingError(f"internal validation failed: {err}")
@@ -173,16 +170,8 @@ def pack_bipartite_lll(
         for b in nbrs[bad]:
             ordering[b] = [int(s) for s in rng.permutation(k)]
 
-    rows = [[0] * g.n for _ in range(k)]
-    for b in b_side:
-        for i in range(k):
-            rows[i][b] = ordering[b][i]
-    for a in a_side:
-        sigma = zero_trans(a)
-        assert sigma is not None
-        for i in range(k):
-            rows[i][a] = sigma[i]
-    packing = Packing.from_rows("cover", [tuple(r) for r in rows])
+    columns = [ordering[v] if v in ordering else zero_trans(v) for v in range(g.n)]
+    packing = Packing.from_columns("cover", k, columns)
     err = validate_packing(cover, packing)
     if err is not None:
         raise PackingError(f"internal validation failed: {err}")

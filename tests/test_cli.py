@@ -125,6 +125,9 @@ def test_solve_bad_colours_and_mixed_instances_are_65(tmp_path, capsys):
         {"n": 2, "edges": [[0, 1]], "lists": [[True, 2], [1, 2]]},
         {"n": 2, "edges": [[0, 1]], "lists": [[1.5, 2], [1, 2]]},
         {"n": 2, "edges": [[0, 1]], "lists": [[1], [2]], "k": 1, "matchings": {}},
+        {"n": 2.7, "edges": [[0, True]], "lists": [[1, 2], [1, 2]]},
+        {"n": 2, "edges": [[0, 1]], "k": 2.5, "matchings": {}},
+        {"n": 2, "edges": [[0, 1]], "k": 2, "matchings": {"0-1": [[True, 1]]}},
     ):
         bad.write_text(json.dumps(obj))
         code, out, err = run(capsys, "solve", str(bad))
@@ -163,6 +166,66 @@ def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
     seed3, seed4 = records["matrix", "zero-transversal"]
     assert seed3["predicted"] == seed4["predicted"]
     assert 0 <= seed3["estimate"] <= 1 and 0 <= seed4["estimate"] <= 1
+
+
+def test_pack_non_integer_fc_and_empty_lists_are_65(tmp_path, capsys):
+    p2 = tmp_path / "p2.json"
+    p2.write_text('{"n": 2, "edges": [[0, 1]], "lists": [[1, 2], [1, 2]]}')
+    fc = tmp_path / "fc.json"
+    fc.write_text('{"a": 2.5, "b": 1, "assignment": [[0], [1]]}')
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"n": 2, "edges": [], "lists": [[], []]}')
+    for argv in (
+        ["pack", str(p2), "--method", "fractional", "--seed", "1", "--fc", str(fc)],
+        ["pack", str(empty), "--method", "degenerate"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 65 and out == "" and err and "Traceback" not in err, argv
+
+
+def test_gen_unsupported_sizes_are_64(capsys):
+    for argv in (
+        ["gen", "kab-cover", "--d", "3"],
+        ["gen", "shift", "--d", "0"],
+        ["gen", "kbb", "--b", "4"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and err, argv
+
+
+def clique_cover(tmp_path, n, k):
+    # K_n with the identity matching on every edge: chi_c(K_n) = n
+    edges = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    matchings = {f"{u}-{v}": [[i, i] for i in range(k)] for u, v in edges}
+    path = tmp_path / f"k{n}.json"
+    obj = {"n": n, "edges": edges, "k": k, "matchings": matchings}
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_pack_non_positive_chi_c_bound_is_64(tmp_path, capsys):
+    k3 = clique_cover(tmp_path, 3, 2)
+    for bound in ("-5", "0"):
+        argv = ["pack", k3, "--method", "augment", "--chi-c-bound", bound]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and "--chi-c-bound" in err, bound
+
+
+def test_pack_too_small_chi_c_bound_is_65(tmp_path, capsys):
+    k4 = clique_cover(tmp_path, 4, 5)
+    argv = ["pack", k4, "--method", "augment", "--chi-c-bound", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 65 and out == ""
+    assert err.count("\n") == 1 and err.startswith("--chi-c-bound 1")
+
+
+def test_pack_bad_seed_is_64(tmp_path, capsys):
+    path = tmp_path / "p2.json"
+    path.write_text('{"n": 2, "edges": [[0, 1]], "lists": [[1, 2], [1, 2]]}')
+    for seed in ("-1", "x", str(2**128)):
+        argv = ["pack", str(path), "--method", "bip-lll", "--seed", seed]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and err.startswith("--seed"), seed
 
 
 def test_unknown_subcommand_is_64(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from listpack.constructive import (
     PackingError,
+    bipartite_sides,
     bipartition,
     pack_augment,
     pack_bipartite_ordered,
@@ -21,6 +22,7 @@ from listpack.core import (
     list_to_cover,
     validate_packing,
 )
+from listpack.exact import find_packing
 from listpack.generators import gen_random_bipartite_cover
 from listpack.probabilistic import pack_bipartite_lll
 
@@ -247,8 +249,18 @@ def random_partial_cover(rng, g, k):
     return CorrespondenceCover.from_matchings(g, k, matchings)
 
 
+def random_bipartite_lists(rng, side=6, p=0.4):
+    # k = Delta_A + 1 colours per list out of k + 3, so lists overlap
+    edges = [(a, side + b) for a in range(side) for b in range(side)]
+    g = Graph.from_edges(2 * side, [e for e in edges if rng.random() < p])
+    k = bipartite_sides(g)[2] + 1
+    lists = [rng.sample(range(k + 3), k) for _ in range(g.n)]
+    return g, ListAssignment.from_lists(lists)
+
+
 #: sha256 prefixes of the packings' colourings, recorded before the
-#: packers shared core.barred_slots and CorrespondenceCover.conflicts
+#: packers shared core.barred_slots and CorrespondenceCover.conflicts;
+#: bip-ordered's (20 instances in one digest) before it used them
 PINNED_PACKINGS = {
     ("degenerate", 1): "26f154dba732ffa6",
     ("augment", 1): "43c39073d53183e1",
@@ -259,23 +271,37 @@ PINNED_PACKINGS = {
     ("degenerate", 3): "ee8c994bedcfd1dc",
     ("augment", 3): "619b49d18243615a",
     ("bip-lll", 3): "d81526305eb8088c",
+    ("bip-ordered", "1-20"): "0e804adaa2affff0",
 }
 
 
 def test_packer_outputs_are_pinned():
-    def digest(p):
-        return hashlib.sha256(json.dumps(p.colourings).encode()).hexdigest()[:16]
+    def digest(colourings):
+        return hashlib.sha256(json.dumps(colourings).encode()).hexdigest()[:16]
 
     got = {}
     for seed in (1, 2, 3):
         rng = random.Random(seed)
         g = random_graph(rng, 12, 0.3)
         cover = random_partial_cover(rng, g, 2 * g.peel[1])
-        got["degenerate", seed] = digest(pack_degenerate(cover))
+        got["degenerate", seed] = digest(pack_degenerate(cover).colourings)
         g = random_graph(rng, 9, 0.35)
         d = g.peel[1]
         cover = random_partial_cover(rng, g, 2 + g.max_degree() + d)
-        got["augment", seed] = digest(pack_augment(cover, chi_c_bound=d + 1))
+        packing = pack_augment(cover, chi_c_bound=d + 1)
+        got["augment", seed] = digest(packing.colourings)
         cover = gen_random_bipartite_cover(10, 3, 4, seed)
-        got["bip-lll", seed] = digest(pack_bipartite_lll(cover, seed=seed))
+        got["bip-lll", seed] = digest(pack_bipartite_lll(cover, seed=seed).colourings)
+    got["bip-ordered", "1-20"] = digest(
+        [
+            pack_bipartite_ordered(*random_bipartite_lists(random.Random(s))).colourings
+            for s in range(1, 21)
+        ]
+    )
     assert got == PINNED_PACKINGS
+
+
+def test_packers_give_k_empty_colourings_without_vertices():
+    cover = CorrespondenceCover.from_matchings(Graph.from_edges(0, []), 3, {})
+    for packing in (find_packing(cover), pack_degenerate(cover)):
+        assert packing.k == 3 and packing.colourings == ((), (), ())

@@ -159,6 +159,9 @@ def test_instance_json_round_trip_cover_mode():
 def test_packing_json_round_trip():
     p = Packing.from_rows("cover", [(0, 1), (1, 0)])
     assert packing_from_obj(packing_to_obj(p)) == p
+    for entry in (True, 1.0):
+        with pytest.raises(InstanceFormatError):
+            packing_from_obj({"k": 1, "mode": "cover", "colourings": [[entry]]})
 
 
 @pytest.mark.parametrize(
@@ -172,6 +175,14 @@ def test_packing_json_round_trip():
         {"n": 2, "edges": [[0, 1]], "lists": [[True, 2], [1, 2]]},
         {"n": 2, "edges": [[0, 1]], "lists": [[1.5, 2], [1, 2]]},
         {"n": 2, "edges": [[0, 1]], "lists": [[1], [2]], "k": 1, "matchings": {}},
+        {"n": 2.7, "edges": [[0, 1]], "lists": [[1, 2], [1, 2]]},
+        {"n": 2, "edges": [[0, True]], "lists": [[1, 2], [1, 2]]},
+        {"n": -1, "edges": [], "k": 2, "matchings": {}},
+        {"n": 2, "edges": [[0, 1]], "k": 2.5, "matchings": {}},
+        {"n": 2, "edges": [[0, 1]], "k": 2, "matchings": {"0-1": [[True, 1]]}},
+        {"n": 2, "edges": [[0, 1]], "k": 2, "matchings": {"0-1": [[0, 1.5]]}},
+        {"n": 2, "edges": [], "lists": [[], []]},
+        {"n": 2, "edges": [], "lists": [[1], [1, 2]]},
     ],
 )
 def test_malformed_instances_rejected(obj):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations, product
 
@@ -8,6 +9,8 @@ from listpack.core import (
     CorrespondenceCover,
     Graph,
     ListAssignment,
+    dumps,
+    instance_to_obj,
     list_to_cover,
     validate_packing,
 )
@@ -285,6 +288,35 @@ def test_decide_chi_star_corr_matches_all_partial_covers():
         assert exists == (witness is not None)
         if witness is not None:
             assert not brute_force_has_packing(witness)
+
+
+#: sha256 prefixes of the witnesses' JSON, recorded while each decider
+#: still had its own enumeration loop
+PINNED_WITNESSES = {
+    ("list", "C4", 2): "6ecf11f2dc0d32d8",
+    ("list", "K4", 3): "30314b880b4c7738",
+    ("corr", "C5", 3): "7aeb11e2e85f0558",
+    ("corr", "K3", 2): "0e605e7d788e5bcb",
+}
+
+
+def test_decider_witnesses_are_pinned():
+    def digest(instance):
+        text = dumps(instance_to_obj(instance))
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def cycle(n):
+        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+    def clique(n):
+        return Graph.from_edges(n, list(combinations(range(n), 2)))
+
+    got = {}
+    for name, g, k in (("C4", cycle(4), 2), ("K4", clique(4), 3)):
+        got["list", name, k] = digest((g, decide_chi_star_list(g, k)))
+    for name, g, k in (("C5", cycle(5), 3), ("K3", clique(3), 2)):
+        got["corr", name, k] = digest(decide_chi_star_corr(g, k))
+    assert got == PINNED_WITNESSES
 
 
 def test_chi_star_budget_propagates():
