@@ -7,10 +7,10 @@ human-readable goes to stderr.  "-" stands for stdin/stdout.
 
 Exit codes: 0 packing found / all-pack / estimator ran; 1 no packing /
 witness found; 2 search budget exceeded; 64 usage errors (unknown
-subcommand, bad flags, a bad LISTPACK_BUDGET); 65 malformed instance or
-config, or a --chi-c-bound too small for the cover.  The LISTPACK_BUDGET
-environment variable overrides the default search budget for solve and
-chi-star.
+subcommand, bad or out-of-range flags, a bad LISTPACK_BUDGET); 65
+malformed instance or config, or a --chi-c-bound too small for the
+cover.  The LISTPACK_BUDGET environment variable overrides the default
+search budget for solve and chi-star.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from typing import Mapping, Optional
+from typing import Optional
 
 from . import __version__
 from .constructive import (
@@ -57,6 +57,7 @@ from .generators import (
     gen_shift_construction,
 )
 from .matrixlab import (
+    MAX_EXACT_PROB_K,
     no_zero_transversal_prob_mc,
     zero_permanent_prob_exact,
     zero_permanent_prob_mc,
@@ -117,16 +118,9 @@ def _record(**fields) -> str:
 
 def _default_budget(args) -> Optional[int]:
     if args.budget is not None:
-        return args.budget
+        return _flag("budget", args.budget)
     env = os.environ.get("LISTPACK_BUDGET")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(
-            f"LISTPACK_BUDGET must be an integer, got {env!r}"
-        ) from None
+    return _flag("budget", env, "LISTPACK_BUDGET") if env else None
 
 
 def _cmd_solve(args) -> int:
@@ -174,9 +168,10 @@ def _as_cover(instance) -> CorrespondenceCover:
 
 
 def _cmd_pack(args) -> int:
-    seed = None if args.seed is None else _flag("seed", args.seed)
-    if args.chi_c_bound is not None and args.chi_c_bound < 1:
-        raise _UsageError("--chi-c-bound must be positive")
+    seed = _flag("seed", args.seed)
+    chi_c_bound = _flag("chi-c-bound", args.chi_c_bound)
+    max_rounds = _flag("max-rounds", args.max_rounds)
+    max_resamples = _flag("max-resamples", args.max_resamples)
     instance = _read_instance(args.instance)
     list_only = ("complete", "bip-ordered", "fractional")
     if isinstance(instance, CorrespondenceCover) and args.method in list_only:
@@ -191,11 +186,11 @@ def _cmd_pack(args) -> int:
             packing = pack_bipartite_ordered(*instance)
         elif args.method == "augment":
             try:
-                packing = pack_augment(_as_cover(instance), args.chi_c_bound)
+                packing = pack_augment(_as_cover(instance), chi_c_bound)
             except PackingError as exc:
-                if args.chi_c_bound is None:
+                if chi_c_bound is None:
                     raise  # the default bound always holds: a bug
-                raise _DataError(f"--chi-c-bound {args.chi_c_bound}: {exc}") from None
+                raise _DataError(f"--chi-c-bound {chi_c_bound}: {exc}") from None
         elif args.method == "fractional":
             if seed is None or args.fc is None:
                 raise _UsageError("method fractional requires --seed and --fc")
@@ -213,14 +208,14 @@ def _cmd_pack(args) -> int:
                 raise _DataError(f"{args.fc}: bad fractional colouring: {exc}")
             g, lists = instance
             packing = pack_fractional(
-                g, lists, fc, max_rounds=args.max_rounds, seed=seed
+                g, lists, fc, max_rounds=max_rounds, seed=seed
             )
         elif args.method == "bip-lll":
             if seed is None:
                 raise _UsageError("method bip-lll requires --seed")
             packing = pack_bipartite_lll(
                 _as_cover(instance),
-                max_resamples=args.max_resamples,
+                max_resamples=max_resamples,
                 seed=seed,
             )
         else:  # pragma: no cover - argparse restricts choices
@@ -261,7 +256,7 @@ def _cmd_gen(args) -> int:
 
 #: experiment kind -> (required params, run(params, seed) -> (estimate,
 #: ci), predicted(params)); shared by the matrix and experiment commands,
-#: which pass params checked by _checked
+#: which pass params checked by _param
 _ESTIMATORS = {
     "perm-zero": (
         ("k", "p", "trials"),
@@ -278,52 +273,53 @@ _ESTIMATORS = {
 }
 
 
-def _integer(x) -> int:
-    if isinstance(x, float) and not x.is_integer():
-        raise ValueError(x)
-    return int(x)
-
-
-#: estimator parameter -> (parse, holds, requirement): the one check of
-#: each parameter, for matrix flags and experiment entries alike; seeds
-#: key a Philox generator, which takes keys in [0, 2^128)
+#: numeric parameter -> (type, holds, requirement): the one check of
+#: each numeric flag and experiment entry; seeds key a Philox
+#: generator, which takes keys in [0, 2^128), and a zero resampling
+#: budget is meaningful where no other count is
 _PARAMS = {
-    "n": (_integer, lambda x: x >= 1, "a positive integer"),
-    "k": (_integer, lambda x: x >= 1, "a positive integer"),
-    "trials": (_integer, lambda x: x >= 1, "a positive integer"),
+    "n": (int, lambda x: x >= 1, "a positive integer"),
+    "k": (int, lambda x: x >= 1, "a positive integer"),
+    "trials": (int, lambda x: x >= 1, "a positive integer"),
+    "repetitions": (int, lambda x: x >= 1, "a positive integer"),
     "p": (float, lambda x: 0 <= x <= 1, "a probability in [0, 1]"),
-    "seed": (_integer, lambda x: 0 <= x < 2**128, "an integer in [0, 2^128)"),
+    "seed": (int, lambda x: 0 <= x < 2**128, "an integer in [0, 2^128)"),
+    "budget": (int, lambda x: x >= 1, "a positive integer"),
+    "chi-c-bound": (int, lambda x: x >= 1, "a positive integer"),
+    "max-rounds": (int, lambda x: x >= 1, "a positive integer"),
+    "max-resamples": (int, lambda x: x >= 0, "a non-negative integer"),
 }
 
 
-def _param(name: str, value):
-    """value parsed as the estimator parameter name; ValueError if it
-    does not parse or is out of range."""
-    parse, holds, requirement = _PARAMS[name]
+def _param(name: str, value, what: Optional[str] = None):
+    """value checked as the parameter name: a JSON integer (never true
+    or 1.0), or for p any JSON number; ValueError naming what (default:
+    name) if it is not or is out of range."""
+    kind, holds, requirement = _PARAMS[name]
     try:
-        x = None if isinstance(value, bool) else parse(value)
-    except (TypeError, ValueError, OverflowError):
+        is_float = kind is float and type(value) is float
+        x = value if is_float else checked_int(value, name)
+    except ValueError:
         x = None
     if x is None or not holds(x):
-        raise ValueError(f"{name} must be {requirement}, got {value!r}")
-    return x
+        raise ValueError(f"{what or name} must be {requirement}, got {value!r}")
+    return kind(x)
 
 
-def _flag(name: str, value: str):
-    """The flag --name parsed by _param; _UsageError if it is bad."""
+def _flag(name: str, text: Optional[str], what: Optional[str] = None):
+    """The flag --name (or the setting what) turned into a number by
+    int() or float() and checked by _param; None if absent, _UsageError
+    if it is bad."""
+    if text is None:
+        return None
     try:
-        return _param(name, value)
+        value = _PARAMS[name][0](text)
+    except ValueError:
+        value = text  # not a number: _param rejects it
+    try:
+        return _param(name, value, what or f"--{name}")
     except ValueError as exc:
-        raise _UsageError(f"--{exc}") from None
-
-
-def _checked(kind: str, params: Mapping, seeds) -> tuple[dict, list[int]]:
-    """The required params of an estimator kind and the seeds, each
-    passed through _param; KeyError names a missing param."""
-    return (
-        {q: _param(q, params[q]) for q in _ESTIMATORS[kind][0]},
-        [_param("seed", s) for s in seeds],
-    )
+        raise _UsageError(str(exc)) from None
 
 
 def _estimate(kind: str, params: dict, seed: int) -> dict:
@@ -339,8 +335,8 @@ def _estimate(kind: str, params: dict, seed: int) -> dict:
 def _cmd_matrix(args) -> int:
     params = {q: _flag(q, vars(args)[q]) for q in _ESTIMATORS[args.experiment][0]}
     seed = _flag("seed", args.seed)
-    if args.exact and params["k"] > 4:
-        raise _UsageError("--exact supports k <= 4 only")
+    if args.exact and params["k"] > MAX_EXACT_PROB_K:
+        raise _UsageError(f"--exact supports k <= {MAX_EXACT_PROB_K} only")
     fields = _estimate(args.experiment, params, seed)
     if args.exact:
         exact = zero_permanent_prob_exact(params["k"], params["p"])
@@ -367,10 +363,12 @@ def _experiment_jobs(experiments: list) -> list:
             seeds = exp.get("seeds")
             if seeds is None:
                 base = _param("seed", exp["seed"])
-                seeds = [base + i for i in range(int(exp.get("repetitions", 1)))]
+                repetitions = _param("repetitions", exp.get("repetitions", 1))
+                seeds = [base + i for i in range(repetitions)]
             elif not isinstance(seeds, list):
                 raise TypeError(f"seeds {seeds!r} is not an array")
-            checked, seeds = _checked(kind, params, seeds)
+            checked = {q: _param(q, params[q]) for q in _ESTIMATORS[kind][0]}
+            seeds = [_param("seed", s) for s in seeds]
         except (KeyError, TypeError, ValueError) as exc:
             raise _DataError(f"experiment entry {index}: {exc}") from exc
         jobs.append((name, kind, params, checked, seeds))
@@ -416,14 +414,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "solve", parents=[out], help="exact packing search on an instance"
     )
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("chi-star", parents=[out], help="decide a packing number bound")
     p.add_argument("mode", choices=["list", "corr"])
     p.add_argument("graph")
     p.add_argument("--k", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget")
     p.set_defaults(func=_cmd_chi_star)
 
     p = sub.add_parser(
@@ -442,11 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "bip-lll",
         ],
     )
-    p.add_argument("--chi-c-bound", type=int, default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--fc", default=None)
-    p.add_argument("--max-rounds", type=int, default=100)
-    p.add_argument("--max-resamples", type=int, default=None)
+    p.add_argument("--chi-c-bound")
+    p.add_argument("--seed")
+    p.add_argument("--fc")
+    p.add_argument("--max-rounds", default="100")
+    p.add_argument("--max-resamples")
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("gen", parents=[out], help="emit an extremal instance")

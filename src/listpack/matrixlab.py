@@ -9,10 +9,13 @@ gives rows S and columns T with |S| + |T| = k + 1 whose submatrix is
 all-zero; `frobenius_konig_witness` extracts one from the Hall violator
 of the failed row-column matching.
 
-Randomness.  All Monte Carlo estimators draw trial t from its own Philox
-substream (key = seed, counter offset = t * 2^64), so trials can be
-computed in any order or in parallel and still merge to the exact
-sequential estimate.
+Monte Carlo.  Both estimators run one trial loop,
+`_no_transversal_rate`: trial t samples a boolean k x k matrix of
+allowed cells, bit-packs its rows into masks in one numpy call, and
+counts a hit when the matcher finds no perfect matching.  Trial t draws
+from its own Philox substream (key = seed, counter offset = t * 2^64),
+so trials can be computed in any order or in parallel and still merge
+to the exact sequential estimate.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import sqrt
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -124,10 +127,9 @@ def one_transversal(a: BinaryMatrix) -> Optional[tuple[int, ...]]:
 
 def zero_transversal(m: CountMatrix) -> Optional[tuple[int, ...]]:
     """Permutation hitting only zero cells of the count matrix, or None."""
-    indicator = BinaryMatrix.from_rows(
-        [[1 if c == 0 else 0 for c in row] for row in m.counts]
-    )
-    return one_transversal(indicator)
+    zeros = np.array(m.counts).reshape(m.k, m.k) == 0
+    sigma = perfect_matching(_row_masks(zeros), m.k)
+    return None if sigma is None else tuple(sigma)
 
 
 def frobenius_konig_witness(
@@ -195,44 +197,46 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
-def sample_bernoulli_matrix(
-    rng: np.random.Generator, k: int, p: float
-) -> list[int]:
-    """Row bitmasks of a k x k matrix with independent entries, each 0
-    with probability p."""
-    u = rng.random(k * k)
-    masks = []
-    for i in range(k):
-        mask = 0
-        for j in range(k):
-            if u[i * k + j] >= p:
-                mask |= 1 << j
-        masks.append(mask)
-    return masks
+def _row_masks(allowed: np.ndarray) -> list[int]:
+    """Row bitmasks (bit j of mask i set iff allowed[i, j]) of a boolean
+    k x k array; exact at any k, where int64 arithmetic overflows past 62."""
+    packed = np.packbits(allowed, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _no_transversal_rate(
+    k: int,
+    trials: int,
+    seed: int,
+    allowed: Callable[[np.random.Generator], np.ndarray],
+) -> tuple[float, float]:
+    """(estimate, 99% ci) of the fraction of trials whose k x k matrix
+    allowed(rng of trial t) has no perfect matching through its True
+    cells: the one Monte Carlo loop behind both estimators."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    hits = 0
+    for t in range(trials):
+        masks = _row_masks(allowed(_trial_rng(seed, t)))
+        if perfect_matching(masks, k) is None:
+            hits += 1
+    return binomial_ci(hits, trials)
 
 
 def zero_permanent_prob_mc(
     k: int, p: float, trials: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo Pr[Per(A) = 0]: fraction of sampled matrices with no
-    1-transversal.  Returns (estimate, 99% ci)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    hits = 0
-    for t in range(trials):
-        masks = sample_bernoulli_matrix(_trial_rng(seed, t), k, p)
-        if perfect_matching(masks, k) is None:
-            hits += 1
-    return binomial_ci(hits, trials)
+    """Monte Carlo Pr[Per(A) = 0], entries 0 with probability p: fraction
+    of sampled matrices with no 1-transversal.  Returns (estimate, 99% ci)."""
+    return _no_transversal_rate(k, trials, seed, lambda rng: rng.random((k, k)) >= p)
 
 
 def _sample_permutation_counts(
     rng: np.random.Generator, n: int, k: int
 ) -> np.ndarray:
     perms = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (np.tile(np.arange(k), n), perms.ravel()), 1)
-    return counts
+    cells = (np.arange(k) * k + perms).ravel()
+    return np.bincount(cells, minlength=k * k).reshape(k, k)
 
 
 def sample_sum_of_permutations(n: int, k: int, seed: int) -> CountMatrix:
@@ -249,15 +253,6 @@ def no_zero_transversal_prob_mc(
 ) -> tuple[float, float]:
     """Monte Carlo probability that the sum of n random k x k
     permutation matrices admits no 0-transversal."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    hits = 0
-    for t in range(trials):
-        counts = _sample_permutation_counts(_trial_rng(seed, t), n, k)
-        masks = [
-            int(sum(1 << j for j in np.nonzero(row == 0)[0]))
-            for row in counts
-        ]
-        if perfect_matching(masks, k) is None:
-            hits += 1
-    return binomial_ci(hits, trials)
+    return _no_transversal_rate(
+        k, trials, seed, lambda rng: _sample_permutation_counts(rng, n, k) == 0
+    )

@@ -39,7 +39,6 @@ from .core import (
     validate_packing,
 )
 from .matching import perfect_matching
-from .matrixlab import BinaryMatrix, one_transversal
 
 
 @dataclass(frozen=True)
@@ -103,15 +102,16 @@ def pack_fractional(
     palette = sorted({c for lst in lists.lists for c in lst})
     rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(max_rounds):
-        x = {ell: rng.integers(0, fc.a, size=k) for ell in palette}
+        x = {ell: rng.integers(0, fc.a, size=k).tolist() for ell in palette}
         columns = []
         for v in range(g.n):
             lv = lists.lists[v]
             cv = fc.assignment[v]
-            indicator = BinaryMatrix.from_rows(
-                [[1 if int(x[ell][i]) in cv else 0 for ell in lv] for i in range(k)]
-            )
-            sigma = one_transversal(indicator)
+            masks = [
+                sum(1 << s for s, ell in enumerate(lv) if x[ell][i] in cv)
+                for i in range(k)
+            ]
+            sigma = perfect_matching(masks, k)
             if sigma is None:
                 break
             columns.append([lv[s] for s in sigma])

@@ -119,6 +119,23 @@ def test_bad_budget_env_var_is_64(tmp_path, capsys, monkeypatch):
         assert code == 64 and out == "" and "LISTPACK_BUDGET" in err
 
 
+def test_non_positive_budget_is_64(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "c4.json"
+    run(capsys, "gen", "c4", "-o", str(inst))
+    graph = tmp_path / "p2.json"
+    graph.write_text('{"n": 2, "edges": [[0, 1]]}')
+    for budget in ("-5", "0", "1.5"):
+        for argv in (
+            ["solve", str(inst), "--budget", budget],
+            ["chi-star", "list", str(graph), "--k", "2", "--budget", budget],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 64 and out == "" and err.startswith("--budget"), argv
+    monkeypatch.setenv("LISTPACK_BUDGET", "-5")
+    code, out, err = run(capsys, "solve", str(inst))
+    assert code == 64 and out == "" and err.startswith("LISTPACK_BUDGET")
+
+
 def test_solve_bad_colours_and_mixed_instances_are_65(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for obj in (
@@ -149,7 +166,7 @@ def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
         (["solve", str(inst), "--bogus"], 64),
         (mz + ["--seed", "3"], 0),
         (["chi-star", "list", str(inst), "--k", "0"], 64),
-        (["solve", str(inst), "--budget", "0"], 2),
+        (["solve", str(inst), "--budget", "1"], 2),
         (mz + ["--seed", "4"], 0),
         (["solve", str(inst)], 0),
     ]:
@@ -209,6 +226,27 @@ def test_pack_non_positive_chi_c_bound_is_64(tmp_path, capsys):
         argv = ["pack", k3, "--method", "augment", "--chi-c-bound", bound]
         code, out, err = run(capsys, *argv)
         assert code == 64 and out == "" and "--chi-c-bound" in err, bound
+
+
+def test_pack_bad_max_rounds_and_max_resamples_are_64(tmp_path, capsys):
+    p2 = tmp_path / "p2.json"
+    p2.write_text('{"n": 2, "edges": [[0, 1]], "lists": [[1, 2], [1, 2]]}')
+    fc = tmp_path / "fc.json"
+    fc.write_text('{"a": 2, "b": 1, "assignment": [[0], [1]]}')
+    fractional = ["pack", str(p2), "--method", "fractional", "--seed", "1"]
+    bip_lll = ["pack", str(p2), "--method", "bip-lll", "--seed", "1"]
+    for argv in (
+        fractional + ["--fc", str(fc), "--max-rounds", "-1"],
+        fractional + ["--fc", str(fc), "--max-rounds", "0"],
+        bip_lll + ["--max-resamples", "-1"],
+        bip_lll + ["--max-resamples", "x"],
+    ):
+        code, out, err = run(capsys, *argv)
+        flag = argv[-2]
+        assert code == 64 and out == "" and err.startswith(flag), argv
+    # no resampling at all is a meaningful budget
+    code, out, _ = run(capsys, *bip_lll, "--max-resamples", "0")
+    assert code in (0, 1) and record(out)["method"] == "bip-lll"
 
 
 def test_pack_too_small_chi_c_bound_is_65(tmp_path, capsys):
@@ -356,6 +394,12 @@ def test_matrix_bad_params_are_64(capsys):
         assert err.startswith(flag) and "Traceback" not in err, argv
 
 
+def test_matrix_exact_beyond_enumeration_is_64(capsys):
+    argv = ["matrix", "perm-zero", "--k", "5", "--p", "0.5", "--trials", "10"]
+    code, out, err = run(capsys, *argv, "--seed", "1", "--exact")
+    assert code == 64 and out == "" and err.startswith("--exact")
+
+
 def test_matrix_zero_transversal_record(capsys):
     code, out, _ = run(
         capsys,
@@ -482,6 +526,12 @@ def test_experiment_config_errors(tmp_path, capsys):
         {**good, "seed": 1, "name": ["z"]},
         {**good, "seed": 1, "kind": ["perm-zero"]},
         {**good, "seed": 1, "params": 3},
+        {**good, "seed": 1, "params": {"k": "2", "p": 0.5, "trials": 10}},
+        {**good, "seed": 1, "params": {"k": 2, "p": "0.5", "trials": 10}},
+        {**good, "seed": 1, "params": {"k": 2, "p": 0.5, "trials": 10.0}},
+        {**good, "seed": 1, "repetitions": 2.5},
+        {**good, "seed": 1, "repetitions": True},
+        {**good, "seeds": ["1"]},
         "z",
     ):
         bad = tmp_path / "bad.json"

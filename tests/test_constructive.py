@@ -24,7 +24,11 @@ from listpack.core import (
 )
 from listpack.exact import find_packing
 from listpack.generators import gen_random_bipartite_cover
-from listpack.probabilistic import pack_bipartite_lll
+from listpack.probabilistic import (
+    fc_from_bipartition,
+    pack_bipartite_lll,
+    pack_fractional,
+)
 
 
 def random_graph(rng, n, p=0.5):
@@ -249,6 +253,12 @@ def random_partial_cover(rng, g, k):
     return CorrespondenceCover.from_matchings(g, k, matchings)
 
 
+def random_lists(rng, n, k, colours):
+    return ListAssignment.from_lists(
+        [rng.sample(range(colours), k) for _ in range(n)]
+    )
+
+
 def random_bipartite_lists(rng, side=6, p=0.4):
     # k = Delta_A + 1 colours per list out of k + 3, so lists overlap
     edges = [(a, side + b) for a in range(side) for b in range(side)]
@@ -260,7 +270,9 @@ def random_bipartite_lists(rng, side=6, p=0.4):
 
 #: sha256 prefixes of the packings' colourings, recorded before the
 #: packers shared core.barred_slots and CorrespondenceCover.conflicts;
-#: bip-ordered's (20 instances in one digest) before it used them
+#: bip-ordered's (20 instances in one digest) before it used them;
+#: fractional's (C6, 5-of-8 lists, 20 seeds) before pack_fractional
+#: built its row masks without BinaryMatrix
 PINNED_PACKINGS = {
     ("degenerate", 1): "26f154dba732ffa6",
     ("augment", 1): "43c39073d53183e1",
@@ -272,6 +284,7 @@ PINNED_PACKINGS = {
     ("augment", 3): "619b49d18243615a",
     ("bip-lll", 3): "d81526305eb8088c",
     ("bip-ordered", "1-20"): "0e804adaa2affff0",
+    ("fractional", "1-20"): "b1b1dc4e1535e26b",
 }
 
 
@@ -295,6 +308,16 @@ def test_packer_outputs_are_pinned():
     got["bip-ordered", "1-20"] = digest(
         [
             pack_bipartite_ordered(*random_bipartite_lists(random.Random(s))).colourings
+            for s in range(1, 21)
+        ]
+    )
+    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    fc = fc_from_bipartition(c6)
+    got["fractional", "1-20"] = digest(
+        [
+            pack_fractional(
+                c6, random_lists(random.Random(s), 6, 5, 8), fc, seed=s
+            ).colourings
             for s in range(1, 21)
         ]
     )

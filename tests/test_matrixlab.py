@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -202,3 +204,56 @@ def test_matrix_constructors_validate():
         BinaryMatrix.from_rows([[0, 1]])
     with pytest.raises(ValueError):
         CountMatrix.from_rows([[-1]])
+
+
+#: (estimate, ci) at 300 trials, recorded before both estimators shared
+#: one trial loop and one numpy bit-pack of the sampled matrix
+PINNED_ESTIMATES = {
+    ("perm-zero", 12, 0.5, 1): (0.0, 0.015233347889841875),
+    ("perm-zero", 12, 0.5, 2): (0.0, 0.015233347889841875),
+    ("perm-zero", 12, 0.75, 1): (0.58, 0.07339983678475875),
+    ("perm-zero", 12, 0.75, 2): (0.6566666666666666, 0.07061336746058083),
+    ("perm-zero", 8, 0.7, 1): (0.6833333333333333, 0.06917894437345432),
+    ("perm-zero", 8, 0.7, 2): (0.6866666666666666, 0.06898151598426897),
+    ("perm-zero", 1, 0.3, 1): (0.32666666666666666, 0.06974674109307398),
+    ("perm-zero", 1, 0.3, 2): (0.3433333333333333, 0.07061336746058083),
+    ("perm-zero", 70, 0.97, 1): (1.0, 0.015233347889841875),
+    ("perm-zero", 70, 0.97, 2): (1.0, 0.015233347889841875),
+    ("perm-zero", 70, 0.92, 1): (0.35333333333333333, 0.07108680497016782),
+    ("perm-zero", 70, 0.92, 2): (0.38, 0.07218452371528118),
+    ("zero-transversal", 30, 11, 1): (1.0, 0.015233347889841875),
+    ("zero-transversal", 30, 11, 2): (1.0, 0.015233347889841875),
+    ("zero-transversal", 2, 3, 1): (0.4666666666666667, 0.07419236355404858),
+    ("zero-transversal", 2, 3, 2): (0.51, 0.07434291404465304),
+    ("zero-transversal", 4, 5, 1): (0.13666666666666666, 0.05108307214225205),
+    ("zero-transversal", 4, 5, 2): (0.12666666666666668, 0.049462679743406394),
+}
+
+
+def test_estimates_are_pinned():
+    # k = 70 rows do not fit a 64-bit mask: the estimators must stay
+    # exact past it
+    estimator = {
+        "perm-zero": zero_permanent_prob_mc,
+        "zero-transversal": no_zero_transversal_prob_mc,
+    }
+    got = {
+        (kind, a, b, seed): estimator[kind](a, b, 300, seed)
+        for kind, a, b, seed in PINNED_ESTIMATES
+    }
+    assert got == PINNED_ESTIMATES
+
+
+def test_sums_of_permutations_are_pinned():
+    counts = [
+        sample_sum_of_permutations(n, k, seed).counts
+        for n in (1, 4, 30)
+        for k in (1, 3, 11)
+        for seed in (0, 1, 2)
+    ]
+    digest = hashlib.sha256(json.dumps(counts).encode()).hexdigest()[:16]
+    assert digest == "86ea823f32330cf8"
+
+
+def test_zero_transversal_of_empty_matrix():
+    assert zero_transversal(CountMatrix.from_rows([])) == ()
