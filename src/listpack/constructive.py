@@ -51,7 +51,7 @@ def pack_degenerate(cover: CorrespondenceCover) -> Packing:
     matching pairs the k colourings with the k slots (slot s may extend
     colouring i iff no earlier neighbour's choice conflicts through the
     edge matching).  The matching exists because each side excludes at
-    most d partners.
+    most d partners.  A malformed cover raises ValueError.
     """
     g, k = cover.graph, cover.k
     order, d = g.peel
@@ -221,7 +221,8 @@ def pack_augment(
     pushed onto an independent transversal of carefully restricted slot
     sets, displaced colours are shifted, and the number of coloured slots
     strictly grows.  on_round, if given, receives the coloured-slot count
-    after every augmentation (used by tests to check progress).
+    after every augmentation (used by tests to check progress).  A
+    malformed cover raises ValueError.
     """
     g, k = cover.graph, cover.k
     d = g.peel[1]

@@ -20,11 +20,12 @@ All types are immutable after construction and the validators are pure
 functions, so everything here is safe to share across threads.  A Graph
 computes its degeneracy order and earlier-neighbour lists on first use
 and keeps them (as tuples) for its lifetime; a CorrespondenceCover does
-the same with its slot conflict maps.
+the same with its slot conflict maps, checking itself as it builds them.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -172,18 +173,36 @@ class CorrespondenceCover:
     def conflicts(self) -> tuple[dict[int, dict[int, int]], ...]:
         """conflicts[v][u][s]: the slot of v that conflicts with slot s of
         the neighbour u.  Edges with empty matchings are left out.
-        Computed once per instance and shared: callers must not modify
-        it."""
+        Building the maps checks the cover: a ValueError names its first
+        violation in ascending edge order.  Computed once per instance
+        and shared: callers must not modify it."""
         # cached by hand: functools.cached_property takes a lock on first
         # use before Python 3.12, which every fresh decider cover pays
         cached = self.__dict__.get("_conflicts")
         if cached is not None:
             return cached
-        conf: list[dict[int, dict[int, int]]] = [{} for _ in range(self.graph.n)]
-        for (u, v), pairs in self.matchings.items():
-            if pairs:
-                conf[v][u] = dict(pairs)
-                conf[u][v] = {j: i for i, j in pairs}
+        g, k = self.graph, self.k
+        if k < 1:
+            raise ValueError(f"fold k={k} must be positive")
+        conf: list[dict[int, dict[int, int]]] = [{} for _ in range(g.n)]
+        for (u, v), pairs in sorted(self.matchings.items()):
+            if (u, v) not in g.edges:
+                raise ValueError(f"matching on non-edge ({u},{v})")
+            if not pairs:
+                continue
+            conf[v][u] = forward = {}
+            conf[u][v] = back = {}
+            for i, j in pairs:
+                if not (0 <= i < k and 0 <= j < k):
+                    raise ValueError(
+                        f"edge ({u},{v}): slot pair ({i},{j}) out of range 0..{k - 1}"
+                    )
+                if i in forward:
+                    raise ValueError(f"edge ({u},{v}): slot {i} of {u} matched twice")
+                if j in back:
+                    raise ValueError(f"edge ({u},{v}): slot {j} of {v} matched twice")
+                forward[i] = j
+                back[j] = i
         self.__dict__["_conflicts"] = cached = tuple(conf)
         return cached
 
@@ -240,65 +259,37 @@ class Packing:
 
 
 def validate_cover(cover: CorrespondenceCover) -> Optional[str]:
-    """Return None if the cover satisfies all invariants, else a message
-    naming the first violation found."""
-    g = cover.graph
-    if cover.k < 1:
-        return f"fold k={cover.k} must be positive"
-    for (u, v), pairs in sorted(cover.matchings.items()):
-        if (u, v) not in g.edges:
-            return f"matching on non-edge ({u},{v})"
-        seen_i: set[int] = set()
-        seen_j: set[int] = set()
-        for i, j in pairs:
-            if not (0 <= i < cover.k and 0 <= j < cover.k):
-                return f"edge ({u},{v}): slot pair ({i},{j}) out of range 0..{cover.k - 1}"
-            if i in seen_i:
-                return f"edge ({u},{v}): slot {i} of {u} matched twice"
-            if j in seen_j:
-                return f"edge ({u},{v}): slot {j} of {v} matched twice"
-            seen_i.add(i)
-            seen_j.add(j)
-    return None
-
-
-def _list_packing_violation(
-    g: Graph, lists: ListAssignment, p: Packing
-) -> Optional[str]:
-    for row in p.colourings:
-        if len(row) != g.n:
-            return f"colouring has {len(row)} entries, expected {g.n}"
-    for v in range(g.n):
-        allowed = set(lists.lists[v])
-        column = [row[v] for row in p.colourings]
-        for i, c in enumerate(column):
-            if c not in allowed:
-                return f"vertex {v}: colour {c} of colouring {i} not in its list"
-        if len(set(column)) != len(column):
-            return f"vertex {v}: colourings not disjoint"
-    for u, v in sorted(g.edges):
-        for i, row in enumerate(p.colourings):
-            if row[u] == row[v]:
-                return f"edge ({u},{v}): colouring {i} not proper"
+    """Return None if the cover satisfies all invariants, else the message
+    of the ValueError that building cover.conflicts raises."""
+    try:
+        cover.conflicts
+    except ValueError as exc:
+        return str(exc)
     return None
 
 
 def validate_packing(cover: CorrespondenceCover, p: Packing) -> Optional[str]:
     """Return None if p is a valid packing of the cover, else a message.
 
-    Cover-mode packings are checked against the slot matchings; list-mode
-    packings require the cover to carry its source lists.
+    Both modes are checked on slots.  A list-mode packing needs the
+    cover's source lists: its colours are checked against them, then
+    translated to slots.  Sound because only list_to_cover sets
+    cover.lists, and its matchings are exactly the equal-colour slot pairs.
     """
     g = cover.graph
     if p.k != cover.k:
         return f"packing size {p.k} != cover fold {cover.k}"
-    if p.mode == "list":
-        if cover.lists is None:
-            return "list-mode packing but cover has no source lists"
-        return _list_packing_violation(g, cover.lists, p)
     for row in p.colourings:
         if len(row) != g.n:
             return f"colouring has {len(row)} entries, expected {g.n}"
+    if p.mode == "list":
+        if cover.lists is None:
+            return "list-mode packing but cover has no source lists"
+        for v, allowed in enumerate(cover.lists.lists):
+            for i, row in enumerate(p.colourings):
+                if row[v] not in allowed:
+                    return f"vertex {v}: colour {row[v]} of colouring {i} not in its list"
+        p = packing_to_slots(cover.lists, p)
     for v in range(g.n):
         column = [row[v] for row in p.colourings]
         for i, s in enumerate(column):
@@ -356,22 +347,27 @@ def slots_to_colours(lists: ListAssignment, p: Packing) -> Packing:
 
 def degeneracy_order(g: Graph) -> tuple[tuple[int, ...], int]:
     """Order where every vertex has at most d earlier neighbours, and the
-    degeneracy d itself (min-degree peeling, removal order reversed)."""
+    degeneracy d itself (min-degree peeling, ties to the smaller vertex,
+    removal order reversed).  Heap entries whose degree is stale are
+    skipped when popped; a removed vertex has only stale ones left."""
     nbrs = g.neighbours()
     deg = [len(s) for s in nbrs]
+    heap = [(dv, v) for v, dv in enumerate(deg)]
+    heapq.heapify(heap)
     removed = [False] * g.n
     removal: list[int] = []
     d = 0
-    for _ in range(g.n):
-        v = min(
-            (w for w in range(g.n) if not removed[w]), key=lambda w: (deg[w], w)
-        )
-        d = max(d, deg[v])
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if dv != deg[v]:
+            continue
+        d = max(d, dv)
         removed[v] = True
         removal.append(v)
         for w in nbrs[v]:
             if not removed[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return tuple(reversed(removal)), d
 
 
@@ -424,6 +420,8 @@ def instance_from_obj(obj: dict):
             raise InstanceFormatError(f"{lists.n} lists for {g.n} vertices")
         return g, lists
     if "matchings" in obj:
+        if not isinstance(obj["matchings"], dict):
+            raise InstanceFormatError("'matchings' must be a JSON object")
         try:
             k = checked_int(obj["k"], "k")
             matchings = {}

@@ -24,7 +24,6 @@ from .core import (  # noqa: F401 - degeneracy_order is re-exported
     degeneracy_order,
     list_to_cover,
     slots_to_colours,
-    validate_cover,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -59,11 +58,9 @@ def find_packing(
     exists; raises BudgetExceeded when the node budget runs out.  Each
     vertex, in degeneracy order, takes a column: an injective choice of
     slot per colouring, slot s barred from colouring i when it conflicts
-    with colouring i's slot at an earlier neighbour.
+    with colouring i's slot at an earlier neighbour.  A malformed cover
+    raises ValueError (see CorrespondenceCover.conflicts).
     """
-    err = validate_cover(cover)
-    if err is not None:
-        raise ValueError(err)
     g, k = cover.graph, cover.k
     order, earlier = g.peel[0], g.earlier
     conflicts = cover.conflicts
@@ -116,7 +113,8 @@ def find_independent_transversal(
     budget: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
     """One slot per vertex, within allowed[v], no matched pair chosen:
-    the search of find_packing for a single colouring."""
+    the search of find_packing for a single colouring.  A malformed
+    cover, or an allowed slot outside 0..k-1, raises ValueError."""
     g, k = cover.graph, cover.k
     for v, slots in enumerate(allowed):
         if any(not (0 <= s < k) for s in slots):

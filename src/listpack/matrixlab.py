@@ -154,13 +154,9 @@ def _zero_permanent_tally(k: int) -> tuple[int, ...]:
     """tally[z] = number of k x k binary matrices with exactly z zero
     entries and permanent zero."""
     tally = [0] * (k * k + 1)
-    for bits in product((0, 1), repeat=k * k):
-        masks = [
-            sum(1 << j for j in range(k) if bits[i * k + j])
-            for i in range(k)
-        ]
+    for masks in product(range(1 << k), repeat=k):
         if perfect_matching(masks, k) is None:
-            tally[bits.count(0)] += 1
+            tally[k * k - sum(m.bit_count() for m in masks)] += 1
     return tuple(tally)
 
 

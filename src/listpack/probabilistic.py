@@ -136,7 +136,8 @@ def pack_bipartite_lll(
     are sampled uniformly, bad A vertices (no 0-transversal of their
     conflict matrix) have their neighbourhoods resampled until none are
     left or the budget (default 10 * |A|) runs out.  on_resample,
-    if given, receives the bad vertex id at every resampling step.
+    if given, receives the bad vertex id at every resampling step.  A
+    malformed cover raises ValueError.
     """
     g, k = cover.graph, cover.k
     a_side, b_side, _ = bipartite_sides(g)

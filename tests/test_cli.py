@@ -84,6 +84,17 @@ def test_solve_lists_of_unequal_or_zero_size_are_65(tmp_path, capsys):
         assert code == 65 and out == "" and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("matchings", [[], None, 5, "0-1"])
+def test_solve_non_object_matchings_is_65(tmp_path, capsys, matchings):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({"n": 2, "edges": [[0, 1]], "k": 2, "matchings": matchings})
+    )
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 65 and out == "" and "matchings" in err
+    assert "Traceback" not in err
+
 def test_chi_star_k0_is_64(tmp_path, capsys):
     graph = tmp_path / "p2.json"
     graph.write_text('{"n": 2, "edges": [[0, 1]]}')

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -217,3 +218,124 @@ def test_list_instance_round_trip_property(g, k, rnd):
     )
     obj = json.loads(dumps(instance_to_obj((g, lists))))
     assert instance_from_obj(obj) == (g, lists)
+
+
+def quadratic_degeneracy_order(g):
+    """Reference peel: remove the vertex of least remaining degree, the
+    smaller one on ties, by a scan of every vertex at each step."""
+    nbrs = g.neighbours()
+    deg = [len(s) for s in nbrs]
+    alive = set(range(g.n))
+    removal, d = [], 0
+    while alive:
+        v = min(alive, key=lambda w: (deg[w], w))
+        d = max(d, deg[v])
+        alive.remove(v)
+        removal.append(v)
+        for w in nbrs[v] & alive:
+            deg[w] -= 1
+    return tuple(reversed(removal)), d
+
+
+def test_degeneracy_order_matches_quadratic_reference():
+    rng = random.Random(7)
+    graphs_ = [Graph.from_edges(5, []), Graph.from_edges(0, [])]
+    graphs_.append(Graph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)]))
+    for n in (2, 5, 12, 40, 150):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for density in (0.1, 0.3, 0.7):
+            graphs_.append(
+                Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+            )
+    for g in graphs_:
+        assert degeneracy_order(g) == quadratic_degeneracy_order(g)
+    # a cycle ties at every step, so the order is fixed by the tie rule
+    assert degeneracy_order(graphs_[2]) == ((8, 7, 6, 5, 4, 3, 2, 1, 0), 2)
+
+
+def test_conflicts_check_the_cover_in_edge_order():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    # both edges are bad; the smaller one is reported whatever the key order
+    bad = CorrespondenceCover.from_matchings(
+        g, 2, {(1, 2): [(0, 0), (1, 0)], (0, 1): [(0, 5), (1, 5)]}
+    )
+    message = "edge (0,1): slot pair (0,5) out of range 0..1"
+    for _ in range(2):  # nothing is cached on failure
+        with pytest.raises(ValueError) as exc:
+            bad.conflicts
+        assert str(exc.value) == message
+    assert validate_cover(bad) == message
+    twice = CorrespondenceCover.from_matchings(g, 2, {(1, 2): [(0, 0), (1, 0)]})
+    assert validate_cover(twice) == "edge (1,2): slot 0 of 2 matched twice"
+    assert validate_cover(CorrespondenceCover.from_matchings(g, 0, {})) == (
+        "fold k=0 must be positive"
+    )
+
+
+def _is_list_packing(g, lists, p):
+    """Independent reference: on-list, disjoint and proper, on colours."""
+    rows = p.colourings
+    return (
+        all(row[v] in lists.lists[v] for row in rows for v in range(g.n))
+        and all(len({row[v] for row in rows}) == len(rows) for v in range(g.n))
+        and all(row[u] != row[v] for row in rows for u, v in g.edges)
+    )
+
+
+def _slot_image(lists, p):
+    """packing_to_slots, except that an off-list colour becomes slot k."""
+    k = len(lists.lists[0])
+    return Packing.from_rows(
+        "cover",
+        [
+            [lst.index(c) if c in lst else k for lst, c in zip(lists.lists, row)]
+            for row in p.colourings
+        ],
+    )
+
+
+def test_list_packings_are_checked_like_their_slot_images():
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        n, k = rng.randint(2, 6), rng.randint(1, 3)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.5])
+        lists = ListAssignment.from_lists(
+            [rng.sample(range(k + 2), k) for _ in range(n)]
+        )
+        cover = list_to_cover(g, lists)
+        columns = [rng.sample(lst, k) for lst in lists.lists]
+        candidates = [Packing.from_columns("list", k, columns)]
+        off_list = [list(c) for c in columns]
+        off_list[rng.randrange(n)][rng.randrange(k)] = k + 2
+        candidates.append(Packing.from_columns("list", k, off_list))
+        if k > 1:
+            repeated = [list(c) for c in columns]
+            v = rng.randrange(n)
+            repeated[v][1] = repeated[v][0]
+            candidates.append(Packing.from_columns("list", k, repeated))
+        shared = [
+            (u, v)
+            for u, v in sorted(g.edges)
+            if set(lists.lists[u]) & set(lists.lists[v])
+        ]
+        if shared:
+            # colouring 0 gives u the colour it gives v: improper, but
+            # every column stays a permutation of its list
+            u, v = rng.choice(shared)
+            c = rng.choice(sorted(set(lists.lists[u]) & set(lists.lists[v])))
+            improper = [list(col) for col in columns]
+            i, j = improper[v].index(c), improper[u].index(c)
+            improper[u][i], improper[u][j] = improper[u][j], improper[u][i]
+            candidates.append(Packing.from_columns("list", k, improper))
+            assert not _is_list_packing(g, lists, candidates[-1])
+        for p in candidates:
+            ok = _is_list_packing(g, lists, p)
+            seen[ok] += 1
+            assert (validate_packing(cover, p) is None) == ok
+            slots = _slot_image(lists, p)
+            assert (validate_packing(cover, slots) is None) == ok
+            if p is not candidates[1]:  # every colour is on its list
+                assert slots == packing_to_slots(lists, p)
+    assert seen[True] > 20 and seen[False] > 100

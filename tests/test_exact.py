@@ -14,6 +14,7 @@ from listpack.core import (
     list_to_cover,
     validate_packing,
 )
+from listpack.constructive import pack_augment, pack_degenerate
 from listpack.exact import (
     BudgetExceeded,
     canonical_list_assignments,
@@ -24,6 +25,7 @@ from listpack.exact import (
     find_packing,
 )
 from listpack.generators import gen_c4, gen_kab_cover, gen_shift_construction
+from listpack.probabilistic import pack_bipartite_lll
 
 
 def brute_force_has_packing(cover):
@@ -325,3 +327,22 @@ def test_chi_star_budget_propagates():
         decide_chi_star_list(g, 2, budget=5)
     with pytest.raises(BudgetExceeded):
         decide_chi_star_corr(g, 2, budget=5)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        find_packing,
+        lambda cover: find_independent_transversal(cover, [range(4)] * 2),
+        pack_degenerate,
+        lambda cover: pack_bipartite_lll(cover, seed=1),
+        pack_augment,
+    ],
+    ids=["find_packing", "transversal", "degenerate", "lll", "augment"],
+)
+def test_malformed_cover_raises_in_every_search_and_packer(search):
+    # k = 4 meets every packer's hypothesis on K2, so only the cover is bad
+    g = Graph.from_edges(2, [(0, 1)])
+    bad = CorrespondenceCover.from_matchings(g, 4, {(0, 1): [(0, 5), (1, 5)]})
+    with pytest.raises(ValueError, match=r"slot pair \(0,5\) out of range 0\.\.3"):
+        search(bad)

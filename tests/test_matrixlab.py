@@ -111,6 +111,11 @@ def test_exact_zero_permanent_probabilities():
         zero_permanent_prob_exact(5, Fraction(1, 2))
 
 
+
+def test_exact_zero_permanent_count_at_k4():
+    # 27,713 of the 2^16 binary 4x4 matrices have permanent zero
+    assert zero_permanent_prob_exact(4, Fraction(1, 2)) == Fraction(27713, 1 << 16)
+
 def test_exact_probability_monotone_in_p():
     grid = [Fraction(i, 10) for i in range(11)]
     for k in range(1, 5):
