@@ -9,8 +9,9 @@ Exit codes: 0 packing found / all-pack / estimator ran; 1 no packing /
 witness found; 2 search budget exceeded; 64 usage errors (unknown
 subcommand, bad or out-of-range flags, a bad LISTPACK_BUDGET); 65
 malformed instance or config, or a --chi-c-bound too small for the
-cover.  The LISTPACK_BUDGET environment variable overrides the default
-search budget for solve and chi-star.
+cover; 70 any other exception (a bug), reported on one stderr line
+without a traceback.  The LISTPACK_BUDGET environment variable
+overrides the default search budget for solve and chi-star.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ EXIT_NONE = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 
 class _UsageError(Exception):
@@ -486,6 +488,9 @@ def main(argv=None) -> int:
     except (_DataError, InstanceFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:  # a bug; exit 1 would read as a witness
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

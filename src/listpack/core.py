@@ -320,7 +320,8 @@ def list_to_cover(g: Graph, lists: ListAssignment) -> CorrespondenceCover:
         )
         if pairs:
             matchings[(u, v)] = pairs
-    return CorrespondenceCover.from_matchings(g, k, matchings, lists=lists)
+    # keys are u < v and pairs ascend in slot of u: already normalised
+    return CorrespondenceCover(graph=g, k=k, matchings=matchings, lists=lists)
 
 
 def packing_to_slots(lists: ListAssignment, p: Packing) -> Packing:

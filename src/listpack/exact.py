@@ -12,7 +12,7 @@ instances into a distinct BudgetExceeded outcome rather than a silent
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (  # noqa: F401 - degeneracy_order is re-exported
@@ -192,26 +192,88 @@ def decide_chi_star_list(
     return None if witness is None else witness.lists
 
 
+def _cycle_type_representatives(k: int) -> Iterator[tuple[int, ...]]:
+    """One permutation of range(k) per cycle type, in ascending order:
+    the cycles, of ascending length, on consecutive slots, each mapping
+    a slot to the next and the last back to the first; (1, 0, 3, 4, 2)
+    for type (2, 3).  Each is the lex-first permutation of its type.
+    Built lazily from the partitions of k."""
+
+    def reps(start: int, least: int) -> Iterator[tuple[int, ...]]:
+        # permutations of start..k-1 into cycles of length >= least
+        for length in range(least, (k - start) // 2 + 1):
+            cycle = (*range(start + 1, start + length), start)
+            for tail in reps(start + length, length):
+                yield cycle + tail
+        yield (*range(start + 1, k), start)
+
+    return reps(0, 1)
+
+
+def _non_forest_edges(
+    n: int, edges: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The edges, in the given order, that close a cycle with earlier
+    ones: the complement of the spanning forest union-find picks."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    rest = []
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            rest.append((u, v))
+        else:
+            root[ru] = rv
+    return rest
+
+
 def decide_chi_star_corr(
     g: Graph, k: int, budget: Optional[int] = None
 ) -> Optional[CorrespondenceCover]:
     """Witness k-fold cover with no packing, or None when every k-fold
     cover packs (certifying chi*_c(g) <= k).
 
-    Enumerates perfect per-edge matchings only, with the first edge fixed
-    to the identity, and is still complete.  Every partial matching
-    extends to a perfect one and adding conflicts cannot create a
-    packing, so if some cover has no packing, some perfect one has none.
-    Fixing the first edge relabels one endpoint's slots.
+    Enumerates perfect covers only: every edge of the spanning forest
+    that union-find builds over the sorted edges gets the identity
+    matching, the first remaining edge ranges over
+    _cycle_type_representatives(k), and the others over all of
+    permutations(range(k)) in itertools.product order.  This is still
+    complete, for three reasons:
+
+    - Every partial matching extends to a perfect one, and adding
+      conflicts cannot create a packing, so if some cover has no
+      packing, some perfect one has none.
+    - Relabelling the slots of each vertex, tree by tree outward from
+      a root, turns the forest's matchings into identities, and
+      relabelling maps packings to packings.
+    - Relabelling every vertex by the same permutation keeps the
+      identities and conjugates every other matching, so the first of
+      them needs only one permutation per cycle type.
+
+    The covers come lazily, in lexicographic order of their matchings
+    along the sorted edges, with no table of the k! permutations, so a
+    large k spends budget, not memory.
     """
     edges = sorted(g.edges)
     if not edges:
         # No edges: every cover packs (slot i to colouring i everywhere).
         return None
-    identity = tuple((i, i) for i in range(k))
-    matchings = [tuple(enumerate(p)) for p in permutations(range(k))]
-    covers = (
-        CorrespondenceCover.from_matchings(g, k, dict(zip(edges, (identity, *rest))))
-        for rest in product(matchings, repeat=len(edges) - 1)
-    )
-    return _first_unpackable(covers, budget)
+    free = _non_forest_edges(g.n, edges)
+    matchings = dict.fromkeys(edges, tuple((i, i) for i in range(k)))
+
+    def covers(j: int) -> Iterator[CorrespondenceCover]:
+        if j == len(free):
+            yield CorrespondenceCover(graph=g, k=k, matchings=dict(matchings))
+            return
+        perms = _cycle_type_representatives(k) if j == 0 else permutations(range(k))
+        for p in perms:
+            matchings[free[j]] = tuple(enumerate(p))
+            yield from covers(j + 1)
+
+    return _first_unpackable(covers(0), budget)

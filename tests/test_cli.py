@@ -103,6 +103,31 @@ def test_chi_star_k0_is_64(tmp_path, capsys):
         assert code == 64 and out == "" and err
 
 
+def test_chi_star_corr_large_k_exhausts_budget_not_memory(tmp_path, capsys):
+    graph = tmp_path / "c4.json"
+    graph.write_text('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}')
+    code, out, err = run(
+        capsys, "chi-star", "corr", str(graph), "--k", "9", "--budget", "10"
+    )
+    assert code == 2 and err == ""
+    assert record(out)["result"] == "budget-exceeded"
+
+
+def test_unexpected_exception_is_70(tmp_path, capsys, monkeypatch):
+    import listpack.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "decide_chi_star_corr", broken)
+    graph = tmp_path / "p2.json"
+    graph.write_text('{"n": 2, "edges": [[0, 1]]}')
+    code, out, err = run(capsys, "chi-star", "corr", str(graph), "--k", "2")
+    assert code == 70 and out == ""
+    assert len(err.splitlines()) == 1 and "RuntimeError" in err
+    assert "Traceback" not in err
+
+
 def test_solve_budget_exit_2(tmp_path, capsys):
     inst = tmp_path / "c4.json"
     run(capsys, "gen", "c4", "-o", str(inst))

@@ -339,3 +339,19 @@ def test_list_packings_are_checked_like_their_slot_images():
             if p is not candidates[1]:  # every colour is on its list
                 assert slots == packing_to_slots(lists, p)
     assert seen[True] > 20 and seen[False] > 100
+
+
+def test_list_to_cover_matchings_are_normalised():
+    # list_to_cover skips from_matchings' normalisation; it must not need it
+    rng = random.Random(3)
+    for _ in range(200):
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.5])
+        lists = ListAssignment.from_lists(
+            [rng.sample(range(k + 3), k) for _ in range(n)]
+        )
+        cover = list_to_cover(g, lists)
+        normalised = CorrespondenceCover.from_matchings(g, k, cover.matchings)
+        assert list(cover.matchings.items()) == list(normalised.matchings.items())
+        assert cover.lists == lists

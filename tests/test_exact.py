@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import pytest
@@ -14,9 +15,11 @@ from listpack.core import (
     list_to_cover,
     validate_packing,
 )
+from listpack import exact
 from listpack.constructive import pack_augment, pack_degenerate
 from listpack.exact import (
     BudgetExceeded,
+    _cycle_type_representatives,
     canonical_list_assignments,
     decide_chi_star_corr,
     decide_chi_star_list,
@@ -267,9 +270,10 @@ def partial_matchings(k):
 
 
 def test_decide_chi_star_corr_matches_all_partial_covers():
-    # the decider enumerates perfect matchings with the first edge fixed;
-    # a packless cover among all partial-matching covers (7 per edge at
-    # k = 2) must exist exactly when it returns a witness
+    # the decider enumerates perfect matchings, reduced by a spanning
+    # forest and one cycle type per first non-tree edge; a packless cover
+    # among all partial-matching covers (7 per edge at k = 2) must exist
+    # exactly when it returns a witness
     k = 2
     graphs = [
         Graph.from_edges(3, [(0, 1), (1, 2)]),
@@ -290,6 +294,103 @@ def test_decide_chi_star_corr_matches_all_partial_covers():
         assert exists == (witness is not None)
         if witness is not None:
             assert not brute_force_has_packing(witness)
+
+
+def perfect_covers(g, k):
+    """Every cover with a perfect matching on each edge."""
+    edges = sorted(g.edges)
+    for perms in product(permutations(range(k)), repeat=len(edges)):
+        yield CorrespondenceCover.from_matchings(
+            g, k, {e: list(enumerate(p)) for e, p in zip(edges, perms)}
+        )
+
+
+@pytest.mark.parametrize(
+    "n, edges, k",
+    [
+        # a triangle and a separate edge: two trees in the forest
+        (5, [(0, 1), (0, 2), (1, 2), (3, 4)], 3),
+        (4, list(combinations(range(4), 2)), 2),  # K4
+        (4, [(0, 1), (0, 2), (1, 2), (2, 3)], 3),  # paw
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 3),  # C4
+        (3, [(0, 1), (0, 2), (1, 2)], 4),  # K3, where every cover packs
+    ],
+    ids=["triangle+edge", "K4", "paw", "C4", "K3"],
+)
+def test_decide_chi_star_corr_matches_every_perfect_cover(n, edges, k):
+    g = Graph.from_edges(n, edges)
+    exists = any(find_packing(c) is None for c in perfect_covers(g, k))
+    witness = decide_chi_star_corr(g, k)
+    assert exists == (witness is not None)
+    if witness is not None:
+        assert find_packing(witness) is None
+        assert not brute_force_has_packing(witness)
+
+
+def cycle_type(p):
+    seen, lengths = set(), []
+    for start in range(len(p)):
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v, length = p[v], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def test_cycle_type_representatives_are_the_lex_first_of_each_type():
+    partition_counts = [1, 2, 3, 5, 7, 11, 15, 22]
+    for k, count in enumerate(partition_counts, start=1):
+        reps = list(_cycle_type_representatives(k))
+        assert len(reps) == count
+        assert reps == sorted(reps)
+        assert len({cycle_type(p) for p in reps}) == count
+        assert all(sorted(p) == list(range(k)) for p in reps)
+        if k <= 6:
+            first = {}
+            for p in permutations(range(k)):
+                first.setdefault(cycle_type(p), p)
+            assert reps == sorted(first.values())
+    assert (1, 0, 3, 4, 2) in _cycle_type_representatives(5)
+
+
+def test_decide_chi_star_corr_cover_counts_are_pinned(monkeypatch):
+    # forest edges fixed, one permutation per cycle type on the first
+    # other edge: C4 and P5 at k = 4 check 5 and 1 covers, K4 5 * 24**2
+    searched = []
+
+    def counting(cover, budget=None):
+        searched.append(cover)
+        return find_packing(cover, budget=budget)
+
+    monkeypatch.setattr(exact, "find_packing", counting)
+    cases = [
+        (Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 4, 5),
+        (Graph.from_edges(5, [(i, i + 1) for i in range(4)]), 4, 1),
+        (Graph.from_edges(4, list(combinations(range(4), 2))), 4, 2880),
+    ]
+    for g, k, count in cases:
+        searched.clear()
+        assert decide_chi_star_corr(g, k) is None
+        assert len(searched) == count
+
+
+def test_decide_chi_star_corr_c5_at_k4_all_pack():
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert decide_chi_star_corr(c5, 4) is None
+
+
+def test_decide_chi_star_corr_large_k_stays_small_in_memory():
+    # the covers come lazily: no table of the k! permutations
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    tracemalloc.start()
+    try:
+        assert decide_chi_star_corr(c4, 9, budget=2000) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 #: sha256 prefixes of the witnesses' JSON, recorded while each decider
