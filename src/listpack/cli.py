@@ -250,9 +250,7 @@ def _cmd_gen(args) -> int:
             instance = gen_kbb_lists(args.b)
     except ValueError as exc:  # a size the family does not support
         raise _UsageError(f"gen {args.family}: {exc}") from None
-    obj = instance_to_obj(instance)
-    obj["schema"] = SCHEMA_VERSION
-    _write_line(dumps(obj), args.output)
+    _write_line(_record(**instance_to_obj(instance)), args.output)
     return EXIT_OK
 
 

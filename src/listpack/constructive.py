@@ -240,8 +240,9 @@ def pack_augment(
     def coloured_count() -> int:
         return sum(1 for part in colour for c in part if c is not None)
 
-    max_rounds = g.n * k
-    for _ in range(max_rounds):
+    # every round colours at least one more slot, so the round after the
+    # (n*k)-th finds none left
+    for _ in range(g.n * k + 1):
         target = None
         for v in range(g.n):
             for x in range(k):

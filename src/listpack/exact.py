@@ -187,6 +187,8 @@ def decide_chi_star_list(
 ) -> Optional[ListAssignment]:
     """Witness k-list-assignment with no L-packing, or None when every
     canonical assignment packs (certifying chi*_ell(g) <= k)."""
+    if g.n == 0:
+        return None  # the empty assignment packs, and has no list size
     covers = (list_to_cover(g, a) for a in canonical_list_assignments(g.n, k))
     witness = _first_unpackable(covers, budget)
     return None if witness is None else witness.lists

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from listpack.cli import main
 from listpack.core import instance_from_obj, packing_from_obj, validate_packing
@@ -101,6 +106,23 @@ def test_chi_star_k0_is_64(tmp_path, capsys):
     for mode in ("list", "corr"):
         code, out, err = run(capsys, "chi-star", mode, str(graph), "--k", "0")
         assert code == 64 and out == "" and err
+
+
+def test_empty_graph_packs_in_every_command(tmp_path, capsys):
+    # both used to exit 70: no lists to size the list-cover by, and zero
+    # augmentation rounds read as a failure to terminate
+    graph = tmp_path / "empty.json"
+    graph.write_text('{"n": 0, "edges": []}')
+    cover = tmp_path / "cover.json"
+    cover.write_text('{"n": 0, "edges": [], "k": 2, "matchings": {}}')
+    for argv, result in (
+        (["chi-star", "list", str(graph), "--k", "2"], "all-pack"),
+        (["chi-star", "corr", str(graph), "--k", "2"], "all-pack"),
+        (["pack", str(cover), "--method", "augment"], "packing"),
+        (["pack", str(cover), "--method", "degenerate"], "packing"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and record(out)["result"] == result, (argv, err)
 
 
 def test_chi_star_corr_large_k_exhausts_budget_not_memory(tmp_path, capsys):
@@ -581,3 +603,197 @@ def test_experiment_config_errors(tmp_path, capsys):
         '{"experiments": [{"name": "y", "kind": "nope", "params": {}, "seeds": [1]}]}'
     )
     assert run(capsys, "experiment", str(bad_kind))[0] == 65
+
+
+# A bounded grammar of hostile command lines: every subcommand with sizes
+# <= 6, trial counts <= 50 and budgets <= 2000, flag values that are junk
+# about a third of the time, and instance, colouring and config files
+# that are valid, malformed JSON, JSON of the wrong shape or truncated.
+FUZZ_JUNK = ["0", "-1", "", "x", "2.5", "nan", "inf", "1e3"]
+FUZZ_SIZE = st.sampled_from([str(i) for i in range(1, 7)] * 3 + FUZZ_JUNK)
+FUZZ_PROB = st.sampled_from(
+    ["0", "0.25", "0.5", "0.75", "1"] * 3 + ["1.5", "-0.1", "nan", "x"]
+)
+FUZZ_TRIALS = st.sampled_from(["1", "2", "31", "32", "33", "50"] * 3 + FUZZ_JUNK)
+FUZZ_BUDGET = st.sampled_from(["1", "10", "100", "2000"] * 3 + FUZZ_JUNK)
+FUZZ_SEED = st.sampled_from(
+    ["0", "1", "7", str(2**64 + 3), str(2**128 - 1)] * 3 + ["-1", str(2**128), "x", ""]
+)
+FUZZ_ATOM = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.sampled_from([0.5, 2.0, -1.5, float("nan"), float("inf")]),
+    st.text(max_size=3),
+)
+FUZZ_JSON = st.recursive(
+    FUZZ_ATOM,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ_PAIRS = st.lists(st.lists(st.integers(-1, 6), min_size=2, max_size=2), max_size=6)
+
+
+@st.composite
+def fuzz_valid_instance(draw):
+    """A well-formed list or cover instance on at most 6 vertices."""
+    n = draw(st.integers(0, 6))
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        slots = st.lists(st.integers(1, 6), min_size=k, max_size=k, unique=True)
+        return {"n": n, "edges": edges, "lists": [draw(slots) for _ in range(n)]}
+    matchings = {}
+    for u, v in edges:
+        image = draw(st.permutations(range(k)))
+        size = draw(st.integers(0, k))
+        matchings[f"{u}-{v}"] = [[i, image[i]] for i in range(size)]
+    return {"n": n, "edges": edges, "k": k, "matchings": matchings}
+
+
+FUZZ_INSTANCE = st.fixed_dictionaries(
+    {"n": st.integers(0, 6) | FUZZ_ATOM, "edges": FUZZ_PAIRS | FUZZ_JSON},
+    optional={
+        "lists": st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=6)
+        | FUZZ_JSON,
+        "matchings": st.dictionaries(
+            st.sampled_from(["0-1", "1-0", "0-0", "1-2", "0-9", "x"]),
+            FUZZ_PAIRS | FUZZ_JSON,
+            max_size=4,
+        )
+        | FUZZ_JSON,
+        "k": st.integers(-1, 6) | FUZZ_ATOM,
+    },
+)
+FUZZ_FC = st.fixed_dictionaries(
+    {
+        "a": st.integers(-1, 6) | FUZZ_ATOM,
+        "b": st.integers(-1, 3) | FUZZ_ATOM,
+        "assignment": st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=6)
+        | FUZZ_JSON,
+    }
+)
+FUZZ_CONFIG = st.fixed_dictionaries(
+    {
+        "experiments": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "name": st.sampled_from(["a", "b"]) | FUZZ_ATOM,
+                    "kind": st.sampled_from(["perm-zero", "zero-transversal", "x"]),
+                    "params": st.fixed_dictionaries(
+                        {},
+                        optional={
+                            "n": st.integers(-1, 6) | FUZZ_ATOM,
+                            "k": st.integers(-1, 6) | FUZZ_ATOM,
+                            "p": st.sampled_from([0, 0.5, 1, 1.5]) | FUZZ_ATOM,
+                            "trials": st.integers(0, 50) | FUZZ_ATOM,
+                        },
+                    )
+                    | FUZZ_ATOM,
+                },
+                optional={
+                    "seed": st.integers(-1, 3) | FUZZ_ATOM,
+                    "seeds": st.lists(st.integers(-1, 3), max_size=3) | FUZZ_ATOM,
+                    "repetitions": st.integers(-1, 3) | FUZZ_ATOM,
+                },
+            )
+            | FUZZ_JSON,
+            max_size=3,
+        )
+        | FUZZ_JSON
+    }
+)
+
+
+def fuzz_document(shaped):
+    """File contents: JSON of the expected shape, any JSON, a truncated
+    document or text that is no JSON at all."""
+    return st.one_of(
+        shaped.map(json.dumps),
+        FUZZ_JSON.map(json.dumps),
+        shaped.map(json.dumps).map(lambda text: text[: len(text) // 2]),
+        st.text(max_size=12),
+    )
+
+
+def fuzz_flags(**flags):
+    """--name value pairs of the optional flags, each present or not."""
+    pairs = [
+        st.none() | values.map(lambda v, name=name: [f"--{name}", v])
+        for name, values in flags.items()
+    ]
+    return st.tuples(*pairs).map(lambda got: [t for pair in got if pair for t in pair])
+
+
+FUZZ_COMMAND = st.one_of(
+    st.tuples(FUZZ_BUDGET).map(lambda t: ["solve", "in.json", "--budget", *t]),
+    st.tuples(st.sampled_from(["list", "corr"]), FUZZ_SIZE, FUZZ_BUDGET).map(
+        lambda t: ["chi-star", t[0], "in.json", "--k", t[1], "--budget", t[2]]
+    ),
+    st.tuples(
+        st.sampled_from(
+            ["degenerate", "complete", "bip-ordered", "augment", "fractional"]
+            + ["bip-lll"]
+        ),
+        st.tuples(FUZZ_SEED).map(lambda t: ["--seed", *t]),
+        fuzz_flags(
+            **{
+                "chi-c-bound": FUZZ_SIZE,
+                "max-rounds": FUZZ_SIZE,
+                "max-resamples": FUZZ_SIZE,
+                "fc": st.just("fc.json"),
+            }
+        ),
+    ).map(lambda t: ["pack", "in.json", "--method", t[0], *t[1], *t[2]]),
+    st.tuples(
+        st.sampled_from(["c4", "kab-cover", "shift", "kbb"]),
+        fuzz_flags(d=FUZZ_SIZE, b=FUZZ_SIZE),
+    ).map(lambda t: ["gen", t[0], *t[1]]),
+    st.tuples(FUZZ_SIZE, FUZZ_PROB, FUZZ_TRIALS, FUZZ_SEED, st.booleans()).map(
+        lambda t: ["matrix", "perm-zero", "--k", t[0], "--p", t[1], "--trials", t[2]]
+        + ["--seed", t[3], *(["--exact"] if t[4] else [])]
+    ),
+    st.tuples(FUZZ_SIZE, FUZZ_SIZE, FUZZ_TRIALS, FUZZ_SEED).map(
+        lambda t: ["matrix", "zero-transversal", "--n", t[0], "--k", t[1]]
+        + ["--trials", t[2], "--seed", t[3]]
+    ),
+    st.just(["experiment", "config.json"]),
+    st.lists(
+        st.sampled_from(
+            ["solve", "pack", "gen", "matrix", "--k", "-o", "in.json", "x", "--"]
+        ),
+        max_size=4,
+    ),
+)
+
+
+@given(
+    FUZZ_COMMAND,
+    fuzz_valid_instance().map(json.dumps) | fuzz_document(FUZZ_INSTANCE),
+    fuzz_document(FUZZ_FC),
+    fuzz_document(FUZZ_CONFIG),
+)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_main_fuzz_exit_codes_and_stdout(argv, instance, fc, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"in.json": instance, "fc.json": fc, "config.json": config}
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 64, 65), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    lines = out.getvalue().strip().splitlines()
+    if code in (64, 65) or argv[:1] != ["experiment"]:
+        assert len(lines) <= (0 if code in (64, 65) else 1), (argv, lines)
+    for line in lines:
+        obj = json.loads(line)
+        assert "schema" in obj and "version" in obj, (argv, line)

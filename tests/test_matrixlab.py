@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from listpack.matching import perfect_matching
 from listpack.matrixlab import (
     BinaryMatrix,
     CountMatrix,
@@ -262,3 +264,103 @@ def test_sums_of_permutations_are_pinned():
 
 def test_zero_transversal_of_empty_matrix():
     assert zero_transversal(CountMatrix.from_rows([])) == ()
+
+
+#: (estimate, ci) at seeds whose Philox key has a non-zero high word, at
+#: trial counts on both sides of a 32-trial block edge; recorded before
+#: the trial loop reused one generator and packed trials in blocks
+PINNED_HIGH_KEY_ESTIMATES = {
+    ("perm-zero", 8, 0.7, 2**64 + 3, 1): (1.0, 0.99),
+    ("perm-zero", 8, 0.7, 2**64 + 3, 31): (0.7096774193548387, 0.20999411982622856),
+    ("perm-zero", 8, 0.7, 2**64 + 3, 32): (0.6875, 0.21105879413578482),
+    ("perm-zero", 8, 0.7, 2**64 + 3, 33): (0.6666666666666666, 0.21137511298806028),
+    ("perm-zero", 8, 0.7, 2**64 + 3, 65): (0.7076923076923077, 0.1453124285180442),
+    ("perm-zero", 8, 0.7, 2**128 - 1, 1): (1.0, 0.99),
+    ("perm-zero", 8, 0.7, 2**128 - 1, 31): (0.5806451612903226, 0.2282876763091018),
+    ("perm-zero", 8, 0.7, 2**128 - 1, 32): (0.5625, 0.22588759548498094),
+    ("perm-zero", 8, 0.7, 2**128 - 1, 33): (0.5757575757575758, 0.2216087928627652),
+    ("perm-zero", 8, 0.7, 2**128 - 1, 65): (0.6, 0.1565186243155005),
+    ("perm-zero", 70, 0.92, 2**64 + 3, 1): (1.0, 0.99),
+    ("perm-zero", 70, 0.92, 2**64 + 3, 31): (0.3548387096774194, 0.22135323796440146),
+    ("perm-zero", 70, 0.92, 2**64 + 3, 32): (0.375, 0.22044372091196165),
+    ("perm-zero", 70, 0.92, 2**64 + 3, 33): (0.36363636363636365, 0.2156981598796233),
+    ("perm-zero", 70, 0.92, 2**64 + 3, 65): (0.38461538461538464, 0.15543436547313558),
+    ("perm-zero", 70, 0.92, 2**128 - 1, 1): (1.0, 0.99),
+    ("perm-zero", 70, 0.92, 2**128 - 1, 31): (0.3870967741935484, 0.2253419054587342),
+    ("perm-zero", 70, 0.92, 2**128 - 1, 32): (0.375, 0.22044372091196165),
+    ("perm-zero", 70, 0.92, 2**128 - 1, 33): (0.36363636363636365, 0.2156981598796233),
+    ("perm-zero", 70, 0.92, 2**128 - 1, 65): (0.3076923076923077, 0.14745798646744318),
+    ("zero-transversal", 4, 5, 2**64 + 3, 1): (0.0, 0.99),
+    ("zero-transversal", 4, 5, 2**64 + 3, 31): (0.06451612903225806, 0.11365499720095593),
+    ("zero-transversal", 4, 5, 2**64 + 3, 32): (0.0625, 0.11022186045598083),
+    ("zero-transversal", 4, 5, 2**64 + 3, 33): (0.09090909090909091, 0.12890430583445495),
+    ("zero-transversal", 4, 5, 2**64 + 3, 65): (0.07692307692307693, 0.0851349081811385),
+    ("zero-transversal", 4, 5, 2**128 - 1, 1): (0.0, 0.99),
+    ("zero-transversal", 4, 5, 2**128 - 1, 31): (0.0967741935483871, 0.1367773489423811),
+    ("zero-transversal", 4, 5, 2**128 - 1, 32): (0.09375, 0.13272469573311396),
+    ("zero-transversal", 4, 5, 2**128 - 1, 33): (0.12121212121212122, 0.14634408188576492),
+    ("zero-transversal", 4, 5, 2**128 - 1, 65): (0.12307692307692308, 0.10496136402665766),
+}
+
+
+def test_high_key_estimates_are_pinned():
+    estimator = {
+        "perm-zero": zero_permanent_prob_mc,
+        "zero-transversal": no_zero_transversal_prob_mc,
+    }
+    got = {
+        (kind, a, b, seed, trials): estimator[kind](a, b, trials, seed)
+        for kind, a, b, seed, trials in PINNED_HIGH_KEY_ESTIMATES
+    }
+    assert got == PINNED_HIGH_KEY_ESTIMATES
+
+
+def reference_rate(k, trials, seed, allowed_rows):
+    """The per-trial substream contract spelled out: trial t draws from a
+    fresh Philox(key=seed, counter=t * 2^64); allowed_rows(rng) gives the
+    k x k allowed cells as nested lists."""
+    hits = 0
+    for t in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=t << 64))
+        rows = allowed_rows(rng)
+        masks = [sum(1 << j for j in range(k) if row[j]) for row in rows]
+        hits += perfect_matching(masks, k) is None
+    return binomial_ci(hits, trials)
+
+
+def reference_zero_cells(rng, n, k):
+    perms = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1).tolist()
+    counts = [[0] * k for _ in range(k)]
+    for perm in perms:
+        for i, j in enumerate(perm):
+            counts[i][j] += 1
+    return [[c == 0 for c in row] for row in counts]
+
+
+@given(
+    st.integers(0, 13),
+    st.integers(1, 70),
+    st.integers(0, 2**128 - 1),
+    st.floats(0, 1),
+    st.integers(1, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_estimators_match_per_trial_reference(k, trials, seed, p, n):
+    assert zero_permanent_prob_mc(k, p, trials, seed) == reference_rate(
+        k, trials, seed, lambda rng: (rng.random((k, k)) >= p).tolist()
+    )
+    assert no_zero_transversal_prob_mc(n, k, trials, seed) == reference_rate(
+        k, trials, seed, lambda rng: reference_zero_cells(rng, n, k)
+    )
+
+
+def test_mc_memory_stays_flat_in_trials():
+    # the montecarlo benchmark gates peak RSS: trials must stream in
+    # small blocks, never as one array of all samples
+    tracemalloc.start()
+    try:
+        zero_permanent_prob_mc(12, 0.5, 20_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
