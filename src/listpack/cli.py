@@ -3,7 +3,8 @@
 Subcommands: solve, chi-star, pack, gen, matrix, experiment.  stdout
 carries exactly one machine-readable payload (single-line JSON records
 stamped with "schema" and "version", or a JSON-lines report); anything
-human-readable goes to stderr.  "-" stands for stdin/stdout.
+human-readable goes to stderr, -h/--help text included.  "-" stands
+for stdin/stdout.
 
 Exit codes: 0 packing found / all-pack / estimator ran; 1 no packing /
 witness found; 2 search budget exceeded; 64 usage errors (unknown
@@ -400,9 +401,17 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints -h/--help text to stderr: stdout carries only JSON.  The
+    subcommand parsers are of this class too."""
+
+    def print_help(self, file=None) -> None:
+        super().print_help(sys.stderr if file is None else file)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="listpack",
         description="list/correspondence packing solvers and experiments",
     )

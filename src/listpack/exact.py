@@ -8,6 +8,12 @@ packing is the same search on the list-cover.  All searches are
 complete; a configurable node budget turns runaway
 instances into a distinct BudgetExceeded outcome rather than a silent
 "none".
+
+A decider's "all pack" answer is proven assignment by assignment or
+cover by cover: the correspondence decider searches each cover it
+enumerates; the list decider certifies an assignment either by the
+Hall peel of _hall_peels, which needs no search, or by the search.
+Budgets count search nodes only.
 """
 
 from __future__ import annotations
@@ -58,38 +64,51 @@ def find_packing(
     exists; raises BudgetExceeded when the node budget runs out.  Each
     vertex, in degeneracy order, takes a column: an injective choice of
     slot per colouring, slot s barred from colouring i when it conflicts
-    with colouring i's slot at an earlier neighbour.  A malformed cover
-    raises ValueError (see CorrespondenceCover.conflicts).
+    with colouring i's slot at an earlier neighbour.  The search
+    recurses once per vertex and loops over the slots of a column, so
+    its stack depth is n whatever k is.  A malformed cover raises
+    ValueError (see CorrespondenceCover.conflicts).
     """
     g, k = cover.graph, cover.k
     order, earlier = g.peel[0], g.earlier
     conflicts = cover.conflicts
     b = _as_budget(budget)
     columns: list[Optional[tuple[int, ...]]] = [None] * g.n
+    full = (1 << k) - 1
 
     def dfs(idx: int) -> bool:
         if idx == g.n:
             return True
         v = order[idx]
         forbidden = barred_slots(k, conflicts[v], earlier[v], columns)
+        # col[:i] is a partial column using the slots in `used`; free[i]
+        # holds the slots colouring i has still to try, lowest first.
+        # One budget unit per partial column, the empty one included;
+        # k >= 1, as building the conflict maps checked.
         col = [0] * k
-
-        def rec(i: int, used: int) -> bool:
+        free = [0] * k
+        b.spend()
+        i, used = 0, 0
+        free[0] = full & ~forbidden[0]
+        while i >= 0:
+            avail = free[i]
+            if not avail:
+                i -= 1
+                if i >= 0:
+                    used ^= 1 << col[i]
+                continue
+            low = avail & -avail
+            free[i] = avail ^ low
+            col[i] = low.bit_length() - 1
             b.spend()
-            if i == k:
+            if i + 1 == k:
                 columns[v] = tuple(col)
-                return dfs(idx + 1)
-            bad = forbidden[i] | used
-            for s in range(k):
-                if bad >> s & 1:
-                    continue
-                col[i] = s
-                if rec(i + 1, used | 1 << s):
+                if dfs(idx + 1):
                     return True
-            return False
-
-        if rec(0, 0):
-            return True
+                continue
+            used |= low
+            i += 1
+            free[i] = full & ~(forbidden[i] | used)
         columns[v] = None
         return False
 
@@ -182,14 +201,67 @@ def _first_unpackable(
     return None
 
 
+def _hall_peels(
+    nbrs: Sequence[Iterable[int]], lists: Sequence[tuple[int, ...]], k: int
+) -> bool:
+    """True when repeatedly deleting a vertex v with a + b <= k deletes
+    every vertex; then the k-list-assignment `lists` has an L-packing.
+
+    Over the neighbours of v not yet deleted, a counts those whose list
+    meets L(v), and b is the most of them whose lists share one colour
+    of L(v).  Put v back onto any packing of the vertices deleted after
+    it: each colouring bars at most a of v's colours (one per such
+    neighbour) and each colour of L(v) is barred from at most b
+    colourings (a neighbour's colourings use each of its colours once).
+    So in the bipartite graph of colourings and colours that v may
+    still pair, the minimum degrees are k - a and k - b, which sum to
+    at least k, and Hall's condition holds: a perfect matching extends
+    the packing to v.  Deletion only lowers a and b, so the order of
+    deletions does not matter.
+    """
+    masks = [sum(1 << c for c in lst) for lst in lists]
+    alive = set(range(len(lists)))
+    deleted = True
+    while alive and deleted:
+        deleted = False
+        for v in tuple(alive):
+            mv = masks[v]
+            meet = [m for u in nbrs[v] if u in alive and (m := masks[u] & mv)]
+            a = len(meet)
+            if 2 * a > k:  # else a + b <= 2a <= k
+                if a >= k:  # b >= 1 whenever a >= 1
+                    continue
+                b = max(sum(m >> c & 1 for m in meet) for c in lists[v])
+                if a + b > k:
+                    continue
+            alive.remove(v)
+            deleted = True
+    return not alive
+
+
 def decide_chi_star_list(
     g: Graph, k: int, budget: Optional[int] = None
 ) -> Optional[ListAssignment]:
     """Witness k-list-assignment with no L-packing, or None when every
-    canonical assignment packs (certifying chi*_ell(g) <= k)."""
-    if g.n == 0:
-        return None  # the empty assignment packs, and has no list size
-    covers = (list_to_cover(g, a) for a in canonical_list_assignments(g.n, k))
+    canonical assignment packs (certifying chi*_ell(g) <= k).
+
+    An assignment that _hall_peels certifies packs by Hall's theorem
+    and is skipped; every other one is searched by find_packing on its
+    list-cover.  Skipping packable assignments keeps the first
+    unpackable one, so the witness is the one an unfiltered loop finds.
+    When 2d <= k for the degeneracy d, the peel along the degeneracy
+    order certifies every assignment (a + b <= 2d), so the answer is
+    None without enumerating.  The budget counts search nodes only, so
+    it may decide where searching every assignment would exhaust it.
+    """
+    if 2 * g.peel[1] <= k:
+        return None  # the 2·degeneracy bound; also the empty graph
+    nbrs = g.neighbours()
+    covers = (
+        list_to_cover(g, a)
+        for a in canonical_list_assignments(g.n, k)
+        if not _hall_peels(nbrs, a.lists, k)
+    )
     witness = _first_unpackable(covers, budget)
     return None if witness is None else witness.lists
 

@@ -135,6 +135,25 @@ def test_chi_star_corr_large_k_exhausts_budget_not_memory(tmp_path, capsys):
     assert record(out)["result"] == "budget-exceeded"
 
 
+def test_chi_star_on_an_edge_decides_k600(tmp_path, capsys):
+    # 2 * 600 slots, more than the default recursion limit: no exit 70
+    graph = tmp_path / "k2.json"
+    graph.write_text('{"n": 2, "edges": [[0, 1]]}')
+    for mode in ("list", "corr"):
+        code, out, err = run(capsys, "chi-star", mode, str(graph), "--k", "600")
+        assert code == 0 and err == "", (mode, err)
+        assert record(out)["result"] == "all-pack"
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["chi-star", "-h"], ["matrix", "perm-zero", "-h"]]
+)
+def test_help_goes_to_stderr(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == ""
+    assert err.startswith("usage: listpack")
+
+
 def test_unexpected_exception_is_70(tmp_path, capsys, monkeypatch):
     import listpack.cli as cli
 
@@ -763,6 +782,7 @@ FUZZ_COMMAND = st.one_of(
     st.lists(
         st.sampled_from(
             ["solve", "pack", "gen", "matrix", "--k", "-o", "in.json", "x", "--"]
+            + ["-h"]
         ),
         max_size=4,
     ),

@@ -20,6 +20,8 @@ from listpack.constructive import pack_augment, pack_degenerate
 from listpack.exact import (
     BudgetExceeded,
     _cycle_type_representatives,
+    _first_unpackable,
+    _hall_peels,
     canonical_list_assignments,
     decide_chi_star_corr,
     decide_chi_star_list,
@@ -243,6 +245,91 @@ def test_decide_chi_star_list_matches_full_palette_enumeration():
     assert exists_witness == (decide_chi_star_list(g, 2) is not None)
 
 
+SMALL_GRAPHS = {
+    "K2": (2, [(0, 1)]),
+    "P3": (3, [(0, 1), (1, 2)]),
+    "P4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "K3": (3, [(0, 1), (0, 2), (1, 2)]),
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "paw": (4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "diamond": (4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    "K4": (4, list(combinations(range(4), 2))),
+    "C5": (5, [(i, (i + 1) % 5) for i in range(5)]),
+}
+
+
+def small_graph(name):
+    return Graph.from_edges(*SMALL_GRAPHS[name])
+
+
+@pytest.mark.parametrize("name", ["C4", "K4", "paw", "diamond"])
+def test_hall_peel_certifies_only_packable_assignments(name):
+    g, k = small_graph(name), 3
+    nbrs = g.neighbours()
+    certified = 0
+    for a in canonical_list_assignments(g.n, k):
+        if _hall_peels(nbrs, a.lists, k):
+            certified += 1
+            assert find_packing(list_to_cover(g, a)) is not None, a.lists
+    assert certified > 0
+
+
+def test_hall_peel_reads_both_counts():
+    k2 = small_graph("K2").neighbours()
+    assert _hall_peels(k2, ((0, 1), (0, 1)), 2)  # a = b = 1 <= 2 - 1
+    assert not _hall_peels(k2, ((0,), (0,)), 1)  # a + b = 2 > 1
+    assert _hall_peels(k2, ((0,), (1,)), 1)  # a = 0
+    # the centre of the star K_{1,2} has a = 2 = k, but each leaf has
+    # a = b = 1; once the leaves are deleted the centre has a = 0
+    star = Graph.from_edges(3, [(0, 1), (0, 2)]).neighbours()
+    assert _hall_peels(star, ((0, 1), (0, 1), (0, 1)), 2)
+    # C4 at k = 3: with colour 0 on every list each vertex has a = b = 2;
+    # with the neighbours of vertex 0 meeting L(0) on different colours
+    # it has a = 2, b = 1, and the path left behind peels
+    c4 = small_graph("C4").neighbours()
+    assert not _hall_peels(c4, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8)), 3)
+    assert _hall_peels(c4, ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)), 3)
+
+
+def test_decide_chi_star_list_searched_counts_are_pinned(monkeypatch):
+    # P4 at k = 3 and K3 at k = 5 have 2d <= k, so nothing is searched;
+    # on C4 at k = 3, 925 of the 7,284 canonical assignments are
+    searched = []
+
+    def counting(cover, budget=None):
+        searched.append(cover)
+        return find_packing(cover, budget=budget)
+
+    monkeypatch.setattr(exact, "find_packing", counting)
+    for name, k, count in (("P4", 3, 0), ("K3", 5, 0), ("C4", 3, 925)):
+        searched.clear()
+        assert decide_chi_star_list(small_graph(name), k) is None
+        assert len(searched) == count, name
+    assert sum(1 for _ in canonical_list_assignments(4, 3)) == 7284
+
+
+@pytest.mark.parametrize(
+    "name", ["K2", "P3", "K3", "C4", "paw", "diamond", "K4"]
+)
+def test_decide_chi_star_list_matches_unfiltered_loop(name):
+    # the peel skips only packable assignments, so the first unpackable
+    # one, and with it the witness, is the unfiltered loop's
+    g = small_graph(name)
+    for k in (1, 2, 3):
+        covers = (list_to_cover(g, a) for a in canonical_list_assignments(g.n, k))
+        first = _first_unpackable(covers, None)
+        expected = None if first is None else first.lists
+        assert decide_chi_star_list(g, k) == expected, (name, k)
+
+
+def test_decide_chi_star_list_c5_at_k3_all_pack():
+    # chi*_ell(C5) = 3: 507,622 canonical assignments, about 15,000 of
+    # them searched after the peel
+    c5 = small_graph("C5")
+    assert decide_chi_star_list(c5, 3) is None
+    assert decide_chi_star_list(c5, 2) is not None
+
+
 def test_decide_chi_star_corr_tiny():
     k2 = Graph.from_edges(2, [(0, 1)])
     assert decide_chi_star_corr(k2, 2) is None
@@ -374,6 +461,12 @@ def test_decide_chi_star_corr_cover_counts_are_pinned(monkeypatch):
         searched.clear()
         assert decide_chi_star_corr(g, k) is None
         assert len(searched) == count
+
+
+def test_decide_chi_star_corr_edge_at_k600():
+    # one search of 2 * 600 slots, more than the default recursion
+    # limit: the stack must grow per vertex, not per slot
+    assert decide_chi_star_corr(small_graph("K2"), 600) is None
 
 
 def test_decide_chi_star_corr_c5_at_k4_all_pack():
