@@ -220,14 +220,16 @@ def pack_augment(
     While some slot is uncoloured, a colour missing from its part is
     pushed onto an independent transversal of carefully restricted slot
     sets, displaced colours are shifted, and the number of coloured slots
-    strictly grows.  on_round, if given, receives the coloured-slot count
-    after every augmentation (used by tests to check progress).  A
+    strictly grows, so there are at most n*k rounds; a round that gains
+    none raises PackingError.  Each part keeps a colour -> slot map, so
+    a round costs O(n*k + m) bookkeeping plus one
+    find_independent_transversal.  on_round, if given, receives the
+    running coloured-slot count after every round, ending at n*k.  A
     malformed cover raises ValueError.
     """
     g, k = cover.graph, cover.k
-    d = g.peel[1]
     if chi_c_bound is None:
-        chi_c_bound = 1 + d
+        chi_c_bound = 1 + g.peel[1]
     delta = g.max_degree()
     if k < 1 + delta + chi_c_bound:
         raise ValueError(
@@ -235,54 +237,35 @@ def pack_augment(
             f" got k = {k}"
         )
     conflicts = cover.conflicts
+    every = range(k)
     colour: list[list[Optional[int]]] = [[None] * k for _ in range(g.n)]
+    slot_of: list[dict[int, int]] = [{} for _ in range(g.n)]  # colour -> slot
+    coloured = v1 = 0
+    while coloured < g.n * k:
+        # full parts stay full, so v1 only moves forward
+        while len(slot_of[v1]) == k:
+            v1 += 1
+        x = colour[v1].index(None)
+        red = next(c for c in every if c not in slot_of[v1])
 
-    def coloured_count() -> int:
-        return sum(1 for part in colour for c in part if c is not None)
-
-    # every round colours at least one more slot, so the round after the
-    # (n*k)-th finds none left
-    for _ in range(g.n * k + 1):
-        target = None
-        for v in range(g.n):
-            for x in range(k):
-                if colour[v][x] is None:
-                    target = (v, x)
-                    break
-            if target:
-                break
-        if target is None:
-            break
-        v1, x = target
-        used = {c for c in colour[v1] if c is not None}
-        red = min(c for c in range(k) if c not in used)
-
-        red_slot = [None] * g.n
-        for v in range(g.n):
-            for s in range(k):
-                if colour[v][s] == red:
-                    red_slot[v] = s
-                    break
-
+        # v may not take a slot holding a colour that a neighbour keeps
+        # in the slot matched to v's red slot, nor the slot matched to x
         allowed: list[list[int]] = []
         for v in range(g.n):
-            if v == v1 or red_slot[v] is None:
-                slots = list(range(k))
-            else:
-                blocked_colours = set()
+            where = slot_of[v]
+            r = where.get(red)
+            bad = set()
+            if r is not None:
                 for u in conflicts[v]:
-                    j = conflicts[u][v].get(red_slot[v])
-                    if j is not None and colour[u][j] is not None:
-                        blocked_colours.add(colour[u][j])
-                slots = [
-                    y
-                    for y in range(k)
-                    if colour[v][y] not in blocked_colours
-                ]
+                    j = conflicts[u][v].get(r)
+                    if j is not None:
+                        y = where.get(colour[u][j])
+                        if y is not None:
+                            bad.add(y)
             j = conflicts[v].get(v1, {}).get(x)
-            if j in slots:
-                slots.remove(j)
-            allowed.append(slots)
+            if j is not None:
+                bad.add(j)
+            allowed.append([y for y in every if y not in bad])
 
         transversal = find_independent_transversal(cover, allowed)
         if transversal is None:
@@ -292,22 +275,29 @@ def pack_augment(
         t = list(transversal)
         t[v1] = x
 
-        before = coloured_count()
-        for v in range(g.n):
-            old = colour[v][t[v]]
-            colour[v][t[v]] = red
-            r = red_slot[v]
-            if r is not None and r != t[v]:
-                colour[v][r] = old
-        after = coloured_count()
-        if after <= before:
+        # swap red into slot t[v]; a slot is gained where both were empty
+        gained = 0
+        for v, y in enumerate(t):
+            part, where = colour[v], slot_of[v]
+            old, r = part[y], where.get(red)
+            part[y] = red
+            where[red] = y
+            if r is None:
+                if old is None:
+                    gained += 1
+                else:
+                    del where[old]
+            elif r != y:
+                part[r] = old
+                if old is not None:
+                    where[old] = r
+        if not gained:
             raise PackingError("augmentation failed to make progress")
+        coloured += gained
         if on_round is not None:
-            on_round(after)
-    else:
-        raise PackingError("augmentation did not terminate in n*k rounds")
+            on_round(coloured)
 
-    columns = [[part.index(i) for i in range(k)] for part in colour]
+    columns = [[where[i] for i in every] for where in slot_of]
     packing = Packing.from_columns("cover", k, columns)
     err = validate_packing(cover, packing)
     if err is not None:

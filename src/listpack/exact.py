@@ -36,19 +36,24 @@ DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceeded(Exception):
-    """Search node budget exhausted before the instance was decided."""
+    """Search node budget exhausted before the instance was decided;
+    nodes counts the nodes spent, the first one over the budget too."""
+
+    def __init__(self, nodes: int):
+        super().__init__(f"search budget exceeded after {nodes} nodes")
+        self.nodes = nodes
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    __slots__ = ("limit", "remaining")
 
     def __init__(self, limit: Optional[int]):
-        self.remaining = DEFAULT_BUDGET if limit is None else limit
+        self.limit = self.remaining = DEFAULT_BUDGET if limit is None else limit
 
     def spend(self, amount: int = 1) -> None:
         self.remaining -= amount
         if self.remaining < 0:
-            raise BudgetExceeded("search budget exceeded")
+            raise BudgetExceeded(self.limit - self.remaining)
 
 
 def _as_budget(budget) -> _Budget:
@@ -133,10 +138,13 @@ def find_independent_transversal(
 ) -> Optional[tuple[int, ...]]:
     """One slot per vertex, within allowed[v], no matched pair chosen:
     the search of find_packing for a single colouring.  A malformed
-    cover, or an allowed slot outside 0..k-1, raises ValueError."""
+    cover, len(allowed) != n, or a slot outside 0..k-1 raises ValueError."""
     g, k = cover.graph, cover.k
-    for v, slots in enumerate(allowed):
-        if any(not (0 <= s < k) for s in slots):
+    if len(allowed) != g.n:
+        raise ValueError(f"allowed has {len(allowed)} entries for {g.n} vertices")
+    ascending = [sorted(slots) for slots in allowed]
+    for v, slots in enumerate(ascending):
+        if slots and (slots[0] < 0 or slots[-1] >= k):
             raise ValueError(f"allowed[{v}] contains a slot outside 0..{k - 1}")
     order, earlier = g.peel[0], g.earlier
     conflicts = cover.conflicts
@@ -148,7 +156,7 @@ def find_independent_transversal(
             return True
         v = order[idx]
         forbidden = barred_slots(1, conflicts[v], earlier[v], chosen)[0]
-        for s in sorted(allowed[v]):
+        for s in ascending[v]:
             b.spend()
             if forbidden >> s & 1:
                 continue

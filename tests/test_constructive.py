@@ -268,6 +268,34 @@ def random_bipartite_lists(rng, side=6, p=0.4):
     return g, ListAssignment.from_lists(lists)
 
 
+def pinned_covers(seed):
+    """The degenerate cover, the augment cover and its chi_c_bound that
+    the pins below are taken on."""
+    rng = random.Random(seed)
+    g = random_graph(rng, 12, 0.3)
+    degenerate = random_partial_cover(rng, g, 2 * g.peel[1])
+    g = random_graph(rng, 9, 0.35)
+    d = g.peel[1]
+    return degenerate, random_partial_cover(rng, g, 2 + g.max_degree() + d), d + 1
+
+
+def capped_degenerate_graph(rng, n, d, cap):
+    # every vertex joins at most d earlier ones of degree below cap
+    deg = [0] * n
+    edges = []
+    for v in range(1, n):
+        pool = [u for u in range(v) if deg[u] < cap]
+        for u in rng.sample(pool, min(len(pool), d)):
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph.from_edges(n, edges)
+
+
+def digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
 #: sha256 prefixes of the packings' colourings, recorded before the
 #: packers shared core.barred_slots and CorrespondenceCover.conflicts;
 #: bip-ordered's (20 instances in one digest) before it used them;
@@ -289,19 +317,11 @@ PINNED_PACKINGS = {
 
 
 def test_packer_outputs_are_pinned():
-    def digest(colourings):
-        return hashlib.sha256(json.dumps(colourings).encode()).hexdigest()[:16]
-
     got = {}
     for seed in (1, 2, 3):
-        rng = random.Random(seed)
-        g = random_graph(rng, 12, 0.3)
-        cover = random_partial_cover(rng, g, 2 * g.peel[1])
-        got["degenerate", seed] = digest(pack_degenerate(cover).colourings)
-        g = random_graph(rng, 9, 0.35)
-        d = g.peel[1]
-        cover = random_partial_cover(rng, g, 2 + g.max_degree() + d)
-        packing = pack_augment(cover, chi_c_bound=d + 1)
+        degenerate, augment, bound = pinned_covers(seed)
+        got["degenerate", seed] = digest(pack_degenerate(degenerate).colourings)
+        packing = pack_augment(augment, chi_c_bound=bound)
         got["augment", seed] = digest(packing.colourings)
         cover = gen_random_bipartite_cover(10, 3, 4, seed)
         got["bip-lll", seed] = digest(pack_bipartite_lll(cover, seed=seed).colourings)
@@ -328,3 +348,33 @@ def test_packers_give_k_empty_colourings_without_vertices():
     cover = CorrespondenceCover.from_matchings(Graph.from_edges(0, []), 3, {})
     for packing in (find_packing(cover), pack_degenerate(cover)):
         assert packing.k == 3 and packing.colourings == ((), (), ())
+
+
+#: sha256 prefixes of the coloured-slot counts pack_augment passes to
+#: on_round, recorded before it counted them incrementally: on the
+#: augment covers of PINNED_PACKINGS, and on a cover shaped like the
+#: benchmark's (60 vertices, 2-degenerate, degree at most 8, random
+#: perfect matchings, k = 1 + Delta + 3)
+PINNED_AUGMENT_ROUNDS = {
+    1: "4e259a44ab9e6b84",
+    2: "43dd1c98918ec3fa",
+    3: "620bc51ef848d6b0",
+    "construct": "f419a73bad474204",
+}
+
+
+def test_augment_progress_is_pinned():
+    got = {}
+    for seed in (1, 2, 3):
+        _, cover, bound = pinned_covers(seed)
+        rounds = []
+        pack_augment(cover, chi_c_bound=bound, on_round=rounds.append)
+        got[seed] = digest(rounds)
+    rng = random.Random(60)
+    g = capped_degenerate_graph(rng, 60, 2, 8)
+    cover = random_full_cover(rng, g, 1 + g.max_degree() + 3)
+    rounds = []
+    pack_augment(cover, chi_c_bound=3, on_round=rounds.append)
+    assert rounds[-1] == g.n * cover.k
+    got["construct"] = digest(rounds)
+    assert got == PINNED_AUGMENT_ROUNDS

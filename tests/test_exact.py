@@ -117,6 +117,17 @@ def test_budget_exceeded_is_raised():
         find_packing(list_to_cover(g, lists), budget=1)
 
 
+def test_budget_exceeded_carries_the_nodes_spent():
+    with pytest.raises(BudgetExceeded, match="after 248 nodes") as caught:
+        find_packing(gen_kab_cover(2), budget=247)
+    assert caught.value.nodes == 248
+    # the deciders' searches draw on one budget, so the count is their sum
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(BudgetExceeded) as caught:
+        decide_chi_star_corr(g, 3, budget=5)
+    assert caught.value.nodes == 6
+
+
 def test_search_node_counts_are_pinned():
     # each search decides with exactly this many nodes of budget
     cases = [
@@ -138,6 +149,31 @@ def test_independent_transversal_basic():
     assert find_independent_transversal(cover, [[0], [0]]) is None
     with pytest.raises(ValueError):
         find_independent_transversal(cover, [[0], [5]])
+
+
+def test_independent_transversal_checks_each_vertex_range():
+    g = Graph.from_edges(2, [(0, 1)])
+    cover = CorrespondenceCover.from_matchings(g, 3, {(0, 1): [(0, 0)]})
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=r"allowed\[1\] contains a slot outside 0\.\.2"):
+            find_independent_transversal(cover, [[0, 1], [2, bad, 0]])
+    assert find_independent_transversal(cover, [[0, 1, 2], []]) is None
+    # vertex 1 comes first in the degeneracy order; each takes its lowest
+    # free slot, however the slots are listed
+    assert find_independent_transversal(cover, [[2, 0], [1, 0]]) == (2, 0)
+    empty = CorrespondenceCover.from_matchings(Graph.from_edges(0, []), 3, {})
+    assert find_independent_transversal(empty, []) == ()
+
+
+def test_independent_transversal_needs_one_entry_per_vertex():
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    cover = CorrespondenceCover.from_matchings(
+        p3, 2, {(0, 1): [(0, 0), (1, 1)], (1, 2): [(0, 0), (1, 1)]}
+    )
+    assert find_independent_transversal(cover, [range(2)] * 3) == (0, 1, 0)
+    for entries in (2, 4):
+        with pytest.raises(ValueError, match=f"allowed has {entries} entries for 3 vertices"):
+            find_independent_transversal(cover, [range(2)] * entries)
 
 
 def test_independent_transversal_matches_brute_force():
