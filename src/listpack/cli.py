@@ -1,17 +1,19 @@
 """Command-line surface.
 
-Subcommands: solve, chi-star, pack, gen, matrix, experiment.  stdout
-carries exactly one machine-readable payload (single-line JSON records
-stamped with "schema" and "version", or a JSON-lines report); anything
-human-readable goes to stderr, -h/--help text included.  "-" stands
-for stdin/stdout.
+Subcommands: solve, chi-star, pack, gen, matrix, experiment.  Each
+returns its exit code and records; main alone stamps the records with
+"schema" and "version" and writes them as JSON lines to stdout or the
+-o file, so stdout carries exactly one machine-readable payload.
+Anything human-readable goes to stderr, -h/--help text included.  "-"
+stands for stdin/stdout.
 
 Exit codes: 0 packing found / all-pack / estimator ran; 1 no packing /
-witness found; 2 search budget exceeded; 64 usage errors (unknown
-subcommand, bad or out-of-range flags, a bad LISTPACK_BUDGET); 65
-malformed instance or config, or a --chi-c-bound too small for the
-cover; 70 any other exception (a bug), reported on one stderr line
-without a traceback.  The LISTPACK_BUDGET environment variable
+witness found; 2 search budget exceeded (the record's "nodes" counts
+the nodes spent); 64 usage errors (unknown subcommand, bad or
+out-of-range flags, a bad LISTPACK_BUDGET, an -o path that cannot be
+written); 65 malformed instance or config, or a --chi-c-bound too small
+for the cover; 70 any other exception (a bug), reported on one stderr
+line without a traceback.  The LISTPACK_BUDGET environment variable
 overrides the default search budget for solve and chi-star.
 """
 
@@ -86,37 +88,49 @@ class _DataError(Exception):
     """Malformed instance/config; maps to exit 65."""
 
 
-def _read_json(path: str):
+def _read_input(path: str, parse):
+    """parse applied to the JSON document at path ("-": stdin); a file
+    that cannot be read, bad JSON and parse's InstanceFormatError become
+    a _DataError naming the path."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                obj = json.load(fh)
     except OSError as exc:
         raise _DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _DataError(f"{path}: not valid JSON: {exc}") from exc
-
-
-def _read_instance(path: str):
     try:
-        return instance_from_obj(_read_json(path))
+        return parse(obj)
     except InstanceFormatError as exc:
         raise _DataError(f"{path}: {exc}") from exc
 
 
+def _fc_from_obj(obj) -> FractionalColoring:
+    try:
+        return FractionalColoring.from_sets(
+            checked_int(obj["a"], "a"),
+            checked_int(obj["b"], "b"),
+            [
+                [checked_int(c, "class member") for c in members]
+                for members in obj["assignment"]
+            ],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"bad fractional colouring: {exc}") from exc
+
+
 def _write_line(line: str, out: str) -> None:
-    if out == "-":
-        print(line)
-    else:
-        with open(out, "w") as fh:
-            fh.write(line + "\n")
-
-
-def _record(**fields) -> str:
-    fields.setdefault("schema", SCHEMA_VERSION)
-    fields.setdefault("version", __version__)
-    return dumps(fields)
+    try:
+        if out == "-":
+            print(line)
+        else:
+            with open(out, "w") as fh:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc}") from None
 
 
 def _default_budget(args) -> Optional[int]:
@@ -126,42 +140,28 @@ def _default_budget(args) -> Optional[int]:
     return _flag("budget", env, "LISTPACK_BUDGET") if env else None
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[int, list[dict]]:
     budget = _default_budget(args)
-    instance = _read_instance(args.instance)
+    instance = _read_input(args.instance, instance_from_obj)
     if isinstance(instance, CorrespondenceCover):
         packing = find_packing(instance, budget=budget)
     else:
         packing = find_list_packing(*instance, budget=budget)
     if packing is None:
-        _write_line(_record(result="none"), args.output)
-        return EXIT_NONE
-    _write_line(
-        _record(result="packing", packing=packing_to_obj(packing)),
-        args.output,
-    )
-    return EXIT_OK
+        return EXIT_NONE, [dict(result="none")]
+    return EXIT_OK, [dict(result="packing", packing=packing_to_obj(packing))]
 
 
-def _cmd_chi_star(args) -> int:
+def _cmd_chi_star(args) -> tuple[int, list[dict]]:
     k = _flag("k", args.k)
     budget = _default_budget(args)
-    obj = _read_json(args.graph)
-    try:
-        g = _graph_from_obj(obj)
-    except InstanceFormatError as exc:
-        raise _DataError(f"{args.graph}: {exc}") from exc
+    g = _read_input(args.graph, _graph_from_obj)
     decide = decide_chi_star_list if args.mode == "list" else decide_chi_star_corr
     witness = decide(g, k, budget=budget)
     if witness is None:
-        _write_line(_record(result="all-pack", k=k), args.output)
-        return EXIT_OK
-    if args.mode == "list":
-        payload = instance_to_obj((g, witness))
-    else:
-        payload = instance_to_obj(witness)
-    _write_line(_record(result="witness", k=k, witness=payload), args.output)
-    return EXIT_NONE
+        return EXIT_OK, [dict(result="all-pack", k=k)]
+    payload = instance_to_obj((g, witness) if args.mode == "list" else witness)
+    return EXIT_NONE, [dict(result="witness", k=k, witness=payload)]
 
 
 def _as_cover(instance) -> CorrespondenceCover:
@@ -170,12 +170,12 @@ def _as_cover(instance) -> CorrespondenceCover:
     return list_to_cover(*instance)
 
 
-def _cmd_pack(args) -> int:
+def _cmd_pack(args) -> tuple[int, list[dict]]:
     seed = _flag("seed", args.seed)
     chi_c_bound = _flag("chi-c-bound", args.chi_c_bound)
     max_rounds = _flag("max-rounds", args.max_rounds)
     max_resamples = _flag("max-resamples", args.max_resamples)
-    instance = _read_instance(args.instance)
+    instance = _read_input(args.instance, instance_from_obj)
     list_only = ("complete", "bip-ordered", "fractional")
     if isinstance(instance, CorrespondenceCover) and args.method in list_only:
         raise _DataError(f"method {args.method} needs a list-mode instance")
@@ -197,23 +197,12 @@ def _cmd_pack(args) -> int:
         elif args.method == "fractional":
             if seed is None or args.fc is None:
                 raise _UsageError("method fractional requires --seed and --fc")
-            fc_obj = _read_json(args.fc)
-            try:
-                fc = FractionalColoring.from_sets(
-                    checked_int(fc_obj["a"], "a"),
-                    checked_int(fc_obj["b"], "b"),
-                    [
-                        [checked_int(c, "class member") for c in members]
-                        for members in fc_obj["assignment"]
-                    ],
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _DataError(f"{args.fc}: bad fractional colouring: {exc}")
+            fc = _read_input(args.fc, _fc_from_obj)
             g, lists = instance
             packing = pack_fractional(
                 g, lists, fc, max_rounds=max_rounds, seed=seed
             )
-        elif args.method == "bip-lll":
+        else:  # bip-lll
             if seed is None:
                 raise _UsageError("method bip-lll requires --seed")
             packing = pack_bipartite_lll(
@@ -221,38 +210,29 @@ def _cmd_pack(args) -> int:
                 max_resamples=max_resamples,
                 seed=seed,
             )
-        else:  # pragma: no cover - argparse restricts choices
-            return EXIT_USAGE
     except ValueError as exc:
         raise _DataError(f"precondition failed: {exc}") from exc
     if packing is None:
-        _write_line(_record(result="none", method=args.method), args.output)
-        return EXIT_NONE
-    _write_line(
-        _record(
-            result="packing",
-            method=args.method,
-            packing=packing_to_obj(packing),
-        ),
-        args.output,
-    )
-    return EXIT_OK
+        return EXIT_NONE, [dict(result="none", method=args.method)]
+    packing = packing_to_obj(packing)
+    return EXIT_OK, [dict(result="packing", method=args.method, packing=packing)]
 
 
-def _cmd_gen(args) -> int:
+#: gen family -> its instance, built from the parsed --d and --b
+_FAMILIES = {
+    "c4": lambda args: gen_c4(),
+    "kab-cover": lambda args: gen_kab_cover(args.d),
+    "shift": lambda args: gen_shift_construction(args.d),
+    "kbb": lambda args: gen_kbb_lists(args.b),
+}
+
+
+def _cmd_gen(args) -> tuple[int, list[dict]]:
     try:
-        if args.family == "c4":
-            instance = gen_c4()
-        elif args.family == "kab-cover":
-            instance = gen_kab_cover(args.d)
-        elif args.family == "shift":
-            instance = gen_shift_construction(args.d)
-        else:
-            instance = gen_kbb_lists(args.b)
+        instance = _FAMILIES[args.family](args)
     except ValueError as exc:  # a size the family does not support
         raise _UsageError(f"gen {args.family}: {exc}") from None
-    _write_line(_record(**instance_to_obj(instance)), args.output)
-    return EXIT_OK
+    return EXIT_OK, [instance_to_obj(instance)]
 
 
 #: experiment kind -> (required params, run(params, seed) -> (estimate,
@@ -333,7 +313,7 @@ def _estimate(kind: str, params: dict, seed: int) -> dict:
     return dict(estimate=est, ci=ci, predicted=predicted, ratio=ratio)
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> tuple[int, list[dict]]:
     params = {q: _flag(q, vars(args)[q]) for q in _ESTIMATORS[args.experiment][0]}
     seed = _flag("seed", args.seed)
     if args.exact and params["k"] > MAX_EXACT_PROB_K:
@@ -342,13 +322,15 @@ def _cmd_matrix(args) -> int:
     if args.exact:
         exact = zero_permanent_prob_exact(params["k"], params["p"])
         fields["exact"] = float(exact)
-    _write_line(_record(**fields), args.output)
-    return EXIT_OK
+    return EXIT_OK, [fields]
 
 
-def _experiment_jobs(experiments: list) -> list:
-    """(name, kind, params, checked params, seeds) of every config entry;
-    _DataError on the first bad one."""
+def _experiment_jobs(config) -> list:
+    """(name, kind, params, checked params, seeds) of every entry of an
+    experiment config; _DataError on the first fault."""
+    experiments = config.get("experiments") if isinstance(config, dict) else None
+    if not isinstance(experiments, list):
+        raise _DataError("config must be an object with an 'experiments' array")
     jobs = []
     for index, exp in enumerate(experiments):
         try:
@@ -373,21 +355,16 @@ def _experiment_jobs(experiments: list) -> list:
         except (KeyError, TypeError, ValueError) as exc:
             raise _DataError(f"experiment entry {index}: {exc}") from exc
         jobs.append((name, kind, params, checked, seeds))
-    return jobs
-
-
-def _cmd_experiment(args) -> int:
-    config = _read_json(args.config)
-    if not isinstance(config, dict) or not isinstance(
-        config.get("experiments"), list
-    ):
-        raise _DataError("config must be an object with an 'experiments' array")
-    jobs = _experiment_jobs(config["experiments"])
     names = [job[0] for job in jobs]
     if len(names) != len(set(names)):
         raise _DataError("duplicate experiment names in config")
-    lines = [
-        _record(
+    return jobs
+
+
+def _cmd_experiment(args) -> tuple[int, list[dict]]:
+    jobs = _read_input(args.config, _experiment_jobs)
+    return EXIT_OK, [
+        dict(
             experiment=name,
             kind=kind,
             params=params,
@@ -397,8 +374,6 @@ def _cmd_experiment(args) -> int:
         for name, kind, params, checked, seeds in jobs
         for seed in seeds
     ]
-    _write_line("\n".join(lines) if lines else "", args.output)
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -457,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("gen", parents=[out], help="emit an extremal instance")
-    p.add_argument("family", choices=["c4", "kab-cover", "shift", "kbb"])
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--b", type=int, default=2)
     p.set_defaults(func=_cmd_gen)
@@ -485,14 +460,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return args.func(args)
-    except BudgetExceeded:
-        _write_line(_record(result="budget-exceeded"), args.output)
-        return EXIT_BUDGET
+        try:
+            code, records = args.func(args)
+        except BudgetExceeded as exc:
+            code = EXIT_BUDGET
+            records = [dict(result="budget-exceeded", nodes=exc.nodes)]
+        stamp = dict(schema=SCHEMA_VERSION, version=__version__)
+        _write_line("\n".join(dumps(stamp | r) for r in records), args.output)
+        return code
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (_DataError, InstanceFormatError) as exc:
+    except _DataError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # a bug; exit 1 would read as a witness

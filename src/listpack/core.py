@@ -402,8 +402,9 @@ def _graph_from_obj(obj: dict) -> Graph:
 def instance_from_obj(obj: dict):
     """Parse an instance dict; returns either (Graph, ListAssignment) for
     list mode or a CorrespondenceCover for cover mode.  An instance with
-    both 'lists' and 'matchings', and lists that are empty or of unequal
-    size, are rejected."""
+    both 'lists' and 'matchings', lists that are empty or of unequal
+    size, and matching keys other than "u-v" in plain decimal with u < v
+    (so no signs, spaces or leading zeros) are rejected."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
     if "lists" in obj and "matchings" in obj:
@@ -427,8 +428,10 @@ def instance_from_obj(obj: dict):
             k = checked_int(obj["k"], "k")
             matchings = {}
             for key, pairs in obj["matchings"].items():
-                u, v = key.split("-")
-                matchings[(int(u), int(v))] = [
+                u, v = map(int, key.split("-"))
+                if key != f"{u}-{v}":  # one spelling per edge, as written out
+                    raise ValueError(f"matching key {key!r} is not of the form u-v")
+                matchings[(u, v)] = [
                     (checked_int(i, "slot"), checked_int(j, "slot"))
                     for i, j in pairs
                 ]

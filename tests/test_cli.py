@@ -624,6 +624,116 @@ def test_experiment_config_errors(tmp_path, capsys):
     assert run(capsys, "experiment", str(bad_kind))[0] == 65
 
 
+def one_of_each_command(tmp_path):
+    """(argv, exit code) of every subcommand and pack method, a budget-
+    exceeded solve and experiment configs with zero and two entries."""
+    files = {
+        "k3": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "lists": [[1, 2, 3]] * 3},
+        "p4": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "lists": [[1, 2, 3, 4]] * 4},
+        "p4k5": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "lists": [[1, 2, 3, 4, 5]] * 4},
+        "fc": {"a": 2, "b": 1, "assignment": [[0], [1], [0], [1]]},
+        "c4": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+        "none": {"experiments": []},
+        "two": {
+            "experiments": [
+                {"name": "a", "kind": "perm-zero", "params": {"k": 4, "p": 0.5, "trials": 50}, "seed": 1},
+                {"name": "b", "kind": "zero-transversal", "params": {"n": 2, "k": 3, "trials": 50}, "seed": 2},
+            ]
+        },
+    }
+    path = {}
+    for name, obj in files.items():
+        path[name] = str(tmp_path / f"{name}.json")
+        Path(path[name]).write_text(json.dumps(obj))
+    p4, mz = path["p4"], ["--trials", "50", "--seed", "3"]
+    return [
+        (["gen", "kbb", "--b", "2"], 0),
+        (["solve", path["k3"]], 0),
+        (["solve", path["k3"], "--budget", "1"], 2),
+        (["chi-star", "list", path["c4"], "--k", "2"], 1),
+        (["chi-star", "list", path["c4"], "--k", "3"], 0),
+        (["chi-star", "corr", path["c4"], "--k", "3"], 1),
+        (["chi-star", "corr", path["c4"], "--k", "4"], 0),
+        (["pack", path["k3"], "--method", "complete"], 0),
+        (["pack", p4, "--method", "degenerate"], 0),
+        (["pack", p4, "--method", "bip-ordered"], 0),
+        (["pack", path["p4k5"], "--method", "augment"], 0),
+        (["pack", p4, "--method", "fractional", "--seed", "3", "--fc", path["fc"]], 0),
+        (["pack", p4, "--method", "bip-lll", "--seed", "1"], 0),
+        (["matrix", "perm-zero", "--k", "3", "--p", "0.5", "--exact", *mz], 0),
+        (["matrix", "zero-transversal", "--n", "2", "--k", "3", *mz], 0),
+        (["experiment", path["none"]], 0),
+        (["experiment", path["two"]], 0),
+    ]
+
+
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    for argv, want in one_of_each_command(tmp_path):
+        code, stdout, err = run(capsys, *argv)
+        assert code == want and err == "", (argv, err)
+        assert stdout.endswith("\n"), argv
+        code, to_stdout, err = run(capsys, *argv, "-o", str(out))
+        assert (code, to_stdout, err) == (want, "", ""), argv
+        assert out.read_bytes() == stdout.encode(), argv
+
+
+def test_solve_reads_the_instance_from_stdin(tmp_path, capsys, monkeypatch):
+    k3 = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "lists": [[1, 2, 3]] * 3}
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(k3))
+    _, from_file, _ = run(capsys, "solve", str(path))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(k3)))
+    code, out, err = run(capsys, "solve", "-")
+    assert (code, out, err) == (0, from_file, "")
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 2'))
+    code, out, err = run(capsys, "solve", "-")
+    assert code == 65 and out == "" and err.startswith("-: not valid JSON")
+
+
+def test_non_canonical_matching_keys_are_65(tmp_path, capsys):
+    # "00-1" once overwrote "0-1": the conflict as written leaves no
+    # packing, yet solve printed one
+    path = tmp_path / "cover.json"
+    for key in ("00-1", " 0-1", "+0-1", "0-+1", "0-1 ", "٠-1", "0_0-1", "-0-1"):
+        obj = {"n": 2, "edges": [[0, 1]], "k": 1, "matchings": {"0-1": [[0, 0]], key: []}}
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 65 and out == "", key
+        assert err.startswith(f"{path}: bad cover object") and "Traceback" not in err
+    obj = {"n": 2, "edges": [[0, 1]], "k": 1, "matchings": {"0-1": [[0, 0]]}}
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 1 and record(out)["result"] == "none"
+
+
+def test_unwritable_output_is_64(tmp_path, capsys):
+    inst = tmp_path / "kab.json"
+    run(capsys, "gen", "kab-cover", "-o", str(inst))
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        for argv in (
+            ["gen", "c4"],
+            ["solve", str(inst)],
+            ["solve", str(inst), "--budget", "1"],
+        ):
+            code, out, err = run(capsys, *argv, "-o", str(target))
+            assert code == 64 and out == "", argv
+            assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_budget_exceeded_record_carries_the_nodes_spent(tmp_path, capsys):
+    inst = tmp_path / "kab.json"
+    run(capsys, "gen", "kab-cover", "-o", str(inst))
+    code, out, _ = run(capsys, "solve", str(inst), "--budget", "247")
+    assert code == 2
+    assert record(out) == {
+        "result": "budget-exceeded",
+        "nodes": 248,
+        "schema": "listpack/1",
+        "version": "0.1.0",
+    }
+
+
 # A bounded grammar of hostile command lines: every subcommand with sizes
 # <= 6, trial counts <= 50 and budgets <= 2000, flag values that are junk
 # about a third of the time, and instance, colouring and config files
