@@ -221,8 +221,9 @@ def pack_augment(
     pushed onto an independent transversal of carefully restricted slot
     sets, displaced colours are shifted, and the number of coloured slots
     strictly grows, so there are at most n*k rounds; a round that gains
-    none raises PackingError.  Each part keeps a colour -> slot map, so
-    a round costs O(n*k + m) bookkeeping plus one
+    none raises PackingError.  Each part keeps a colour -> slot map and
+    the allowed slots are bitmasks, so a round costs O(n + m) mask
+    bookkeeping, O(k) to find v1's empty slot and red, and one
     find_independent_transversal.  on_round, if given, receives the
     running coloured-slot count after every round, ending at n*k.  A
     malformed cover raises ValueError.
@@ -238,6 +239,7 @@ def pack_augment(
         )
     conflicts = cover.conflicts
     every = range(k)
+    full = (1 << k) - 1
     colour: list[list[Optional[int]]] = [[None] * k for _ in range(g.n)]
     slot_of: list[dict[int, int]] = [{} for _ in range(g.n)]  # colour -> slot
     coloured = v1 = 0
@@ -250,22 +252,22 @@ def pack_augment(
 
         # v may not take a slot holding a colour that a neighbour keeps
         # in the slot matched to v's red slot, nor the slot matched to x
-        allowed: list[list[int]] = []
+        allowed: list[int] = []  # slot masks
         for v in range(g.n):
             where = slot_of[v]
             r = where.get(red)
-            bad = set()
+            bad = 0
             if r is not None:
                 for u in conflicts[v]:
                     j = conflicts[u][v].get(r)
                     if j is not None:
                         y = where.get(colour[u][j])
                         if y is not None:
-                            bad.add(y)
+                            bad |= 1 << y
             j = conflicts[v].get(v1, {}).get(x)
             if j is not None:
-                bad.add(j)
-            allowed.append([y for y in every if y not in bad])
+                bad |= 1 << j
+            allowed.append(full & ~bad)
 
         transversal = find_independent_transversal(cover, allowed)
         if transversal is None:

@@ -133,42 +133,52 @@ def find_list_packing(
 
 def find_independent_transversal(
     cover: CorrespondenceCover,
-    allowed: Sequence[Sequence[int]],
+    allowed: Sequence[int],
     budget: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
-    """One slot per vertex, within allowed[v], no matched pair chosen:
-    the search of find_packing for a single colouring.  A malformed
-    cover, len(allowed) != n, or a slot outside 0..k-1 raises ValueError."""
+    """One slot per vertex, a bit of the slot mask allowed[v], no matched
+    pair chosen: the search of find_packing for a single colouring.  It
+    tries each vertex's allowed slots lowest first, one budget unit per
+    slot tried.  A malformed cover, len(allowed) != n, or a mask that is
+    negative or has a bit at k or above raises ValueError."""
     g, k = cover.graph, cover.k
     if len(allowed) != g.n:
         raise ValueError(f"allowed has {len(allowed)} entries for {g.n} vertices")
-    ascending = [sorted(slots) for slots in allowed]
-    for v, slots in enumerate(ascending):
-        if slots and (slots[0] < 0 or slots[-1] >= k):
+    for v, mask in enumerate(allowed):
+        if mask < 0 or mask >> k:
             raise ValueError(f"allowed[{v}] contains a slot outside 0..{k - 1}")
     order, earlier = g.peel[0], g.earlier
     conflicts = cover.conflicts
     b = _as_budget(budget)
-    chosen: list[Optional[tuple[int]]] = [None] * g.n  # one-slot columns
+    chosen = [0] * g.n  # the slot of each vertex already placed
 
     def dfs(idx: int) -> bool:
         if idx == g.n:
             return True
         v = order[idx]
-        forbidden = barred_slots(1, conflicts[v], earlier[v], chosen)[0]
-        for s in ascending[v]:
+        conflicts_v = conflicts[v]
+        forbidden = 0
+        for u in earlier[v]:
+            edge = conflicts_v.get(u)
+            if edge is not None:
+                s = edge.get(chosen[u])
+                if s is not None:
+                    forbidden |= 1 << s
+        avail = allowed[v]
+        while avail:
+            low = avail & -avail
+            avail ^= low
             b.spend()
-            if forbidden >> s & 1:
+            if forbidden & low:
                 continue
-            chosen[v] = (s,)
+            chosen[v] = low.bit_length() - 1
             if dfs(idx + 1):
                 return True
-        chosen[v] = None
         return False
 
     if not dfs(0):
         return None
-    return tuple(c[0] for c in chosen)  # type: ignore[index]
+    return tuple(chosen)
 
 
 def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:

@@ -144,23 +144,24 @@ def test_search_node_counts_are_pinned():
 def test_independent_transversal_basic():
     g = Graph.from_edges(2, [(0, 1)])
     cover = CorrespondenceCover.from_matchings(g, 2, {(0, 1): [(0, 0), (1, 1)]})
-    t = find_independent_transversal(cover, [[0], [1]])
+    t = find_independent_transversal(cover, [0b01, 0b10])
     assert t == (0, 1)
-    assert find_independent_transversal(cover, [[0], [0]]) is None
+    assert find_independent_transversal(cover, [0b01, 0b01]) is None
     with pytest.raises(ValueError):
-        find_independent_transversal(cover, [[0], [5]])
+        find_independent_transversal(cover, [0b01, 1 << 5])
 
 
 def test_independent_transversal_checks_each_vertex_range():
     g = Graph.from_edges(2, [(0, 1)])
     cover = CorrespondenceCover.from_matchings(g, 3, {(0, 1): [(0, 0)]})
-    for bad in (-1, 3):
+    # a negative mask, or a bit at k = 3 alone or beside allowed slots
+    for bad in (-1, 1 << 3, 0b101 | 1 << 3):
         with pytest.raises(ValueError, match=r"allowed\[1\] contains a slot outside 0\.\.2"):
-            find_independent_transversal(cover, [[0, 1], [2, bad, 0]])
-    assert find_independent_transversal(cover, [[0, 1, 2], []]) is None
+            find_independent_transversal(cover, [0b011, bad])
+    assert find_independent_transversal(cover, [0b111, 0]) is None
     # vertex 1 comes first in the degeneracy order; each takes its lowest
-    # free slot, however the slots are listed
-    assert find_independent_transversal(cover, [[2, 0], [1, 0]]) == (2, 0)
+    # free slot
+    assert find_independent_transversal(cover, [0b101, 0b011]) == (2, 0)
     empty = CorrespondenceCover.from_matchings(Graph.from_edges(0, []), 3, {})
     assert find_independent_transversal(empty, []) == ()
 
@@ -170,10 +171,26 @@ def test_independent_transversal_needs_one_entry_per_vertex():
     cover = CorrespondenceCover.from_matchings(
         p3, 2, {(0, 1): [(0, 0), (1, 1)], (1, 2): [(0, 0), (1, 1)]}
     )
-    assert find_independent_transversal(cover, [range(2)] * 3) == (0, 1, 0)
+    assert find_independent_transversal(cover, [0b11] * 3) == (0, 1, 0)
     for entries in (2, 4):
         with pytest.raises(ValueError, match=f"allowed has {entries} entries for 3 vertices"):
-            find_independent_transversal(cover, [range(2)] * entries)
+            find_independent_transversal(cover, [0b11] * entries)
+
+
+def test_independent_transversal_node_counts_are_pinned():
+    # one budget unit per allowed slot tried, forbidden ones included
+    def identity(g, k):
+        pairs = [(i, i) for i in range(k)]
+        return CorrespondenceCover.from_matchings(
+            g, k, {e: pairs for e in g.edges}
+        )
+
+    p3 = identity(Graph.from_edges(3, [(0, 1), (1, 2)]), 2)
+    k3 = identity(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), 2)
+    for cover, nodes, found in ((p3, 4, (0, 1, 0)), (k3, 10, None)):
+        assert find_independent_transversal(cover, [0b11] * 3, budget=nodes) == found
+        with pytest.raises(BudgetExceeded):
+            find_independent_transversal(cover, [0b11] * 3, budget=nodes - 1)
 
 
 def test_independent_transversal_matches_brute_force():
@@ -181,9 +198,10 @@ def test_independent_transversal_matches_brute_force():
     for _ in range(40):
         cover = random_cover(rng, rng.randint(1, 4), 3)
         g, k = cover.graph, cover.k
-        allowed = [
+        slots = [
             rng.sample(range(k), rng.randint(1, k)) for _ in range(g.n)
         ]
+        allowed = [sum(1 << s for s in vs) for vs in slots]
         found = find_independent_transversal(cover, allowed)
         conf = {}
         for (u, v), pairs in cover.matchings.items():
@@ -196,12 +214,12 @@ def test_independent_transversal_matches_brute_force():
             return True
 
         exists = any(
-            independent(choice) for choice in product(*allowed)
+            independent(choice) for choice in product(*slots)
         )
         assert (found is not None) == exists
         if found is not None:
             assert independent(found)
-            assert all(found[v] in allowed[v] for v in range(g.n))
+            assert all(found[v] in slots[v] for v in range(g.n))
 
 
 def canonical_form(lists):
@@ -563,7 +581,7 @@ def test_chi_star_budget_propagates():
     "search",
     [
         find_packing,
-        lambda cover: find_independent_transversal(cover, [range(4)] * 2),
+        lambda cover: find_independent_transversal(cover, [0b1111] * 2),
         pack_degenerate,
         lambda cover: pack_bipartite_lll(cover, seed=1),
         pack_augment,
