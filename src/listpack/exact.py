@@ -3,11 +3,14 @@
 The packing search branches on whole per-vertex columns (the k slots a
 vertex contributes, one per colouring, necessarily a permutation of the
 k slots by disjointness), processing vertices in degeneracy order so
-that every vertex is constrained only by few earlier neighbours.  List
-packing is the same search on the list-cover.  All searches are
-complete; a configurable node budget turns runaway
-instances into a distinct BudgetExceeded outcome rather than a silent
-"none".
+that every vertex is constrained only by few earlier neighbours.  The
+first vertex takes only the identity column: relabelling the k
+colourings maps packings to packings, so that loses no packing, and as
+the identity is the first column the full search would try there, the
+packing found is the same.  List packing is the same search on the
+list-cover.  All searches are complete; a configurable node budget
+turns runaway instances into a distinct BudgetExceeded outcome rather
+than a silent "none".
 
 A decider's "all pack" answer is proven assignment by assignment or
 cover by cover: the correspondence decider searches each cover it
@@ -69,10 +72,16 @@ def find_packing(
     exists; raises BudgetExceeded when the node budget runs out.  Each
     vertex, in degeneracy order, takes a column: an injective choice of
     slot per colouring, slot s barred from colouring i when it conflicts
-    with colouring i's slot at an earlier neighbour.  The search
-    recurses once per vertex and loops over the slots of a column, so
-    its stack depth is n whatever k is.  A malformed cover raises
-    ValueError (see CorrespondenceCover.conflicts).
+    with colouring i's slot at an earlier neighbour.  The first vertex
+    is fixed to the identity column (colouring i on slot i): any packing
+    relabelled by a permutation of the colourings is a packing, so a
+    None proves that no packing exists at all, with up to k! fewer
+    nodes.  The identity is also the first column the search would try
+    at that vertex, which has no earlier neighbours, so the packing
+    returned is the first in search order, as without the fixing.  The
+    search recurses once per vertex and loops over the slots of a
+    column, so its stack depth is n whatever k is.  A malformed cover
+    raises ValueError (see CorrespondenceCover.conflicts).
     """
     g, k = cover.graph, cover.k
     order, earlier = g.peel[0], g.earlier
@@ -117,7 +126,15 @@ def find_packing(
         columns[v] = None
         return False
 
-    if not dfs(0):
+    # order[0] on the identity column (see above); its 1 + k nodes are
+    # spent one at a time, so BudgetExceeded counts the first one over
+    start = 0
+    if g.n:
+        for _ in range(k + 1):
+            b.spend()
+        columns[order[0]] = tuple(range(k))
+        start = 1
+    if not dfs(start):
         return None
     return Packing.from_columns("cover", k, columns)
 

@@ -724,11 +724,11 @@ def test_unwritable_output_is_64(tmp_path, capsys):
 def test_budget_exceeded_record_carries_the_nodes_spent(tmp_path, capsys):
     inst = tmp_path / "kab.json"
     run(capsys, "gen", "kab-cover", "-o", str(inst))
-    code, out, _ = run(capsys, "solve", str(inst), "--budget", "247")
+    code, out, _ = run(capsys, "solve", str(inst), "--budget", "43")
     assert code == 2
     assert record(out) == {
         "result": "budget-exceeded",
-        "nodes": 248,
+        "nodes": 44,
         "schema": "listpack/1",
         "version": "0.1.0",
     }

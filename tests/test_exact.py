@@ -10,6 +10,7 @@ from listpack.core import (
     CorrespondenceCover,
     Graph,
     ListAssignment,
+    Packing,
     dumps,
     instance_to_obj,
     list_to_cover,
@@ -29,20 +30,28 @@ from listpack.exact import (
     find_list_packing,
     find_packing,
 )
-from listpack.generators import gen_c4, gen_kab_cover, gen_shift_construction
+from listpack.generators import (
+    gen_c4,
+    gen_kab_cover,
+    gen_kbb_lists,
+    gen_shift_construction,
+)
 from listpack.probabilistic import pack_bipartite_lll
 
 
-def brute_force_has_packing(cover):
-    """Ground truth by trying every per-vertex column assignment."""
+def brute_force_first_packing(cover):
+    """Ground truth by trying every per-vertex column assignment: the
+    first packing in product(permutations(range(k)), repeat=n) order,
+    cols[j] being the column of the j-th vertex of g.peel[0], or None."""
     g, k = cover.graph, cover.k
     for cols in product(permutations(range(k)), repeat=g.n):
-        rows = [tuple(cols[v][i] for v in range(g.n)) for i in range(k)]
-        from listpack.core import Packing
-
-        if validate_packing(cover, Packing.from_rows("cover", rows)) is None:
-            return True
-    return False
+        columns = [None] * g.n
+        for v, col in zip(g.peel[0], cols):
+            columns[v] = col
+        found = Packing.from_columns("cover", k, columns)
+        if validate_packing(cover, found) is None:
+            return found
+    return None
 
 
 def random_cover(rng, n, k, p=0.5):
@@ -74,14 +83,30 @@ def test_triangle_packs_with_three_lists():
 
 
 def test_find_packing_matches_brute_force_on_random_covers():
+    # find_packing returns exactly the brute force's first packing, or
+    # None when it has none: fixing the first vertex's column to the
+    # identity changes no answer
     rng = random.Random(20240817)
-    for _ in range(60):
-        cover = random_cover(rng, rng.randint(1, 4), rng.randint(1, 3))
-        found = find_packing(cover)
-        if found is None:
-            assert not brute_force_has_packing(cover)
-        else:
-            assert validate_packing(cover, found) is None
+    covers = [
+        random_cover(rng, rng.randint(1, 4), rng.randint(1, 3))
+        for _ in range(60)
+    ] + [
+        random_cover(rng, rng.randint(1, 4), rng.randint(1, 3), p=0.8)
+        for _ in range(40)
+    ]
+    disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
+    covers += [
+        list_to_cover(*gen_c4()),
+        CorrespondenceCover.from_matchings(
+            disconnected, 2, {(0, 1): [(0, 1), (1, 0)], (2, 3): [(0, 0)]}
+        ),
+    ]
+    unpackable = 0
+    for cover in covers:
+        want = brute_force_first_packing(cover)
+        assert find_packing(cover) == want
+        unpackable += want is None
+    assert unpackable >= 10
 
 
 def test_list_and_cover_searches_agree():
@@ -106,7 +131,7 @@ def test_list_and_cover_searches_agree():
         if direct is not None:
             assert validate_packing(list_to_cover(g, lists), direct) is None
         else:
-            assert not brute_force_has_packing(list_to_cover(g, lists))
+            assert brute_force_first_packing(list_to_cover(g, lists)) is None
 
 
 def test_budget_exceeded_is_raised():
@@ -118,9 +143,13 @@ def test_budget_exceeded_is_raised():
 
 
 def test_budget_exceeded_carries_the_nodes_spent():
-    with pytest.raises(BudgetExceeded, match="after 248 nodes") as caught:
-        find_packing(gen_kab_cover(2), budget=247)
-    assert caught.value.nodes == 248
+    with pytest.raises(BudgetExceeded, match="after 44 nodes") as caught:
+        find_packing(gen_kab_cover(2), budget=43)
+    assert caught.value.nodes == 44
+    # the budget runs out inside the first vertex's fixed identity column
+    with pytest.raises(BudgetExceeded) as caught:
+        find_packing(gen_kab_cover(2), budget=1)
+    assert caught.value.nodes == 2
     # the deciders' searches draw on one budget, so the count is their sum
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(BudgetExceeded) as caught:
@@ -134,8 +163,10 @@ def test_search_node_counts_are_pinned():
         lambda b: find_list_packing(*gen_c4(), budget=b),
         lambda b: find_list_packing(*gen_shift_construction(2), budget=b),
         lambda b: find_packing(gen_kab_cover(2), budget=b),
+        lambda b: find_list_packing(*gen_kbb_lists(3), budget=b),
     ]
-    for search, nodes in zip(cases, [22, 566, 248]):
+    # with the first vertex's column free these were 22, 566, 248, 153,888
+    for search, nodes in zip(cases, [12, 85, 44, 30110]):
         assert search(nodes) is None
         with pytest.raises(BudgetExceeded):
             search(nodes - 1)
@@ -426,15 +457,16 @@ def test_decide_chi_star_corr_matches_all_partial_covers():
     for g in graphs:
         edges = sorted(g.edges)
         exists = any(
-            not brute_force_has_packing(
+            brute_force_first_packing(
                 CorrespondenceCover.from_matchings(g, k, dict(zip(edges, choice)))
             )
+            is None
             for choice in product(per_edge, repeat=len(edges))
         )
         witness = decide_chi_star_corr(g, k)
         assert exists == (witness is not None)
         if witness is not None:
-            assert not brute_force_has_packing(witness)
+            assert brute_force_first_packing(witness) is None
 
 
 def perfect_covers(g, k):
@@ -465,7 +497,7 @@ def test_decide_chi_star_corr_matches_every_perfect_cover(n, edges, k):
     assert exists == (witness is not None)
     if witness is not None:
         assert find_packing(witness) is None
-        assert not brute_force_has_packing(witness)
+        assert brute_force_first_packing(witness) is None
 
 
 def cycle_type(p):
