@@ -183,8 +183,7 @@ def _cmd_pack(args) -> tuple[int, list[dict]]:
         if args.method == "degenerate":
             packing = pack_degenerate(_as_cover(instance))
         elif args.method == "complete":
-            g, lists = instance
-            packing = pack_complete(lists, lists.uniform_size())
+            packing = pack_complete(instance[1])
         elif args.method == "bip-ordered":
             packing = pack_bipartite_ordered(*instance)
         elif args.method == "augment":
@@ -218,11 +217,11 @@ def _cmd_pack(args) -> tuple[int, list[dict]]:
     return EXIT_OK, [dict(result="packing", method=args.method, packing=packing)]
 
 
-#: gen family -> its instance, built from the parsed --d and --b
+#: gen family -> its instance, built from the parsed --b
 _FAMILIES = {
     "c4": lambda args: gen_c4(),
-    "kab-cover": lambda args: gen_kab_cover(args.d),
-    "shift": lambda args: gen_shift_construction(args.d),
+    "kab-cover": lambda args: gen_kab_cover(),
+    "shift": lambda args: gen_shift_construction(),
     "kbb": lambda args: gen_kbb_lists(args.b),
 }
 
@@ -433,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[out], help="emit an extremal instance")
     p.add_argument("family", choices=_FAMILIES)
-    p.add_argument("--d", type=int, default=2)
     p.add_argument("--b", type=int, default=2)
     p.set_defaults(func=_cmd_gen)
 

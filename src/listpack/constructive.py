@@ -44,6 +44,15 @@ class PackingError(RuntimeError):
     caller-supplied bound, never a mere unlucky instance."""
 
 
+def _checked(cover: CorrespondenceCover, packing: Packing) -> Packing:
+    """The packing, once validate_packing accepts it for the cover; a
+    rejected packing raises PackingError."""
+    err = validate_packing(cover, packing)
+    if err is not None:
+        raise PackingError(f"internal validation failed: {err}")
+    return packing
+
+
 def pack_degenerate(cover: CorrespondenceCover) -> Packing:
     """Greedy packer for k >= 2 * degeneracy(graph).
 
@@ -89,37 +98,34 @@ def _complete_stage(lists: list[tuple[int, ...]], k: int) -> list[int]:
         raise PackingError("Hall condition failed for the list SDR")
     counts = Counter(col for lst in lists for col in lst)
     rich = sorted(r for r, cnt in counts.items() if cnt == k)
-    if rich:
-        masks = [
-            sum(1 << v for v in range(n) if r in lists[v]) for r in rich
-        ]
-        m = perfect_matching(masks, n)
-        if m is None:
-            raise PackingError("Hall condition failed for rich colours")
-        f = {r: m[i] for i, r in enumerate(rich)}
-        # Swap unused rich colours in; each f(r) is written at most once,
-        # so |rich| rounds always suffice.
-        for _ in range(len(rich) + 1):
-            used = set(c)
-            pending = [r for r in rich if r not in used]
-            if not pending:
-                break
-            c[f[pending[0]]] = pending[0]
-        else:
-            raise PackingError("rich-colour swap loop failed to terminate")
+    masks = [sum(1 << v for v in range(n) if r in lists[v]) for r in rich]
+    m = perfect_matching(masks, n)
+    if m is None:
+        raise PackingError("Hall condition failed for rich colours")
+    f = {r: m[i] for i, r in enumerate(rich)}
+    # Write each missing rich colour r at f(r), and queue the rich colour
+    # it displaces.  f is injective, so each f(r) is written at most once
+    # and the written set is the closure of the initially missing
+    # colours, in whatever order they are popped.
+    used = set(c)
+    pending = [r for r in rich if r not in used]
+    while pending:
+        r = pending.pop()
+        displaced = c[f[r]]
+        c[f[r]] = r
+        if counts[displaced] == k:
+            pending.append(displaced)
     if len(set(c)) != n:
         raise PackingError("stage colouring not proper on the clique")
     return c
 
 
-def pack_complete(lists: ListAssignment, k: int) -> Packing:
-    """Packer for K_n with k-lists where every colour is on at most k
-    lists (1 <= k <= n)."""
-    n = lists.n
+def pack_complete(lists: ListAssignment) -> Packing:
+    """Packer for K_n with k-lists, k the common list size, where every
+    colour is on at most k lists (1 <= k <= n)."""
+    n, k = lists.n, lists.uniform_size()
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n = {n}, got k = {k}")
-    if lists.uniform_size() != k:
-        raise ValueError("lists must all have size k")
     counts = Counter(c for lst in lists.lists for c in lst)
     worst = max(counts.values())
     if worst > k:
@@ -300,8 +306,4 @@ def pack_augment(
             on_round(coloured)
 
     columns = [[where[i] for i in every] for where in slot_of]
-    packing = Packing.from_columns("cover", k, columns)
-    err = validate_packing(cover, packing)
-    if err is not None:
-        raise PackingError(f"internal validation failed: {err}")
-    return packing
+    return _checked(cover, Packing.from_columns("cover", k, columns))

@@ -253,10 +253,6 @@ class Packing:
         colourings when there are no vertices."""
         return Packing.from_rows(mode, zip(*columns) if columns else [()] * k)
 
-    @property
-    def n(self) -> int:
-        return len(self.colourings[0]) if self.colourings else 0
-
 
 def validate_cover(cover: CorrespondenceCover) -> Optional[str]:
     """Return None if the cover satisfies all invariants, else the message

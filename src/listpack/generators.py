@@ -1,9 +1,12 @@
 """Constructors for the extremal instances exhibited in the source
-material: the 4-cycle with 2-lists, the complete bipartite
-correspondence cover showing tightness of the 2*degeneracy bound, the
-iterated shift construction with degeneracy d and (d+1)-lists, and the
-K_{b^b,b} disjoint-lists assignment; plus the random bipartite covers
-that the Moser-Tardos packer is measured on.
+material: the 4-cycle with 2-lists, the K_{2,6} correspondence cover
+showing tightness of the 2*degeneracy bound, the iterated shift
+construction with degeneracy 2 and 3-lists, and the K_{b^b,b}
+disjoint-lists assignment; plus the random bipartite covers that the
+Moser-Tardos packer is measured on.  The cover and the shift
+construction are the d = 2 members of families indexed by the
+degeneracy d; their docstrings state the families, and only d = 2 is
+built, so neither takes a parameter.
 
 Colour identifiers follow the written instances and are 1-based; the
 core layer does not care.
@@ -25,36 +28,27 @@ def gen_c4() -> tuple[Graph, ListAssignment]:
     return g, lists
 
 
-def gen_kab_cover(d: int) -> CorrespondenceCover:
-    """K_{d,((2d-1)!)^(d-1)} with a (2d-1)-fold cover containing every
+def gen_kab_cover() -> CorrespondenceCover:
+    """K_{2,6} with a 3-fold cover, the d = 2 case of the family
+    K_{d,((2d-1)!)^(d-1)} with a (2d-1)-fold cover containing every
     combination of d matchings from a B-part to the A-parts.
 
     Each B-vertex's matching to the first A-vertex is normalised to the
     identity (colour relabelling); the remaining d-1 matchings range over
     all permutations of the 2d-1 slots.  No packing exists, which pins
-    the correspondence packing number of the graph at 2d.
-
-    Only d=2 is supported: |B| grows as ((2d-1)!)^(d-1).
+    the correspondence packing number of the graph at 2d.  |B| grows as
+    ((2d-1)!)^(d-1), so only d = 2 is built: vertices 0 and 1 are a_0 and
+    a_1, and B-vertex 2 + idx meets a_1 through the idx-th permutation
+    of the 3 slots.
     """
-    if d != 2:
-        raise ValueError("gen_kab_cover supports d=2 only")
-    k = 2 * d - 1
-    perms = list(permutations(range(k)))
-    combos = list(product(perms, repeat=d - 1))
-    n_b = len(combos)  # ((2d-1)!)^(d-1)
-    n = d + n_b
-    a_vertices = list(range(d))
-    edges = [(a, b) for a in a_vertices for b in range(d, n)]
-    g = Graph.from_edges(n, edges)
+    g = Graph.from_edges(8, [(a, b) for a in range(2) for b in range(2, 8)])
     matchings: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for idx, combo in enumerate(combos):
-        b = d + idx
-        # a_0: identity; slot pairs oriented (slot of a, slot of b).
-        matchings[(0, b)] = [(i, i) for i in range(k)]
-        for a in range(1, d):
-            rho = combo[a - 1]  # slot j of b conflicts with slot rho[j] of a
-            matchings[(a, b)] = [(rho[j], j) for j in range(k)]
-    return CorrespondenceCover.from_matchings(g, k, matchings)
+    for b, rho in enumerate(permutations(range(3)), start=2):
+        # slot pairs oriented (slot of a, slot of b): slot j of b
+        # conflicts with slot j of a_0 and with slot rho[j] of a_1
+        matchings[(0, b)] = [(j, j) for j in range(3)]
+        matchings[(1, b)] = [(rho[j], j) for j in range(3)]
+    return CorrespondenceCover.from_matchings(g, 3, matchings)
 
 
 def _shift(lst: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
@@ -63,9 +57,10 @@ def _shift(lst: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
     return tuple(sorted(set(lst) - {i} | {j}))
 
 
-def gen_shift_construction(d: int) -> tuple[Graph, ListAssignment]:
-    """Iterated-copy construction with degeneracy d and (d+1)-lists that
-    admits no packing.
+def gen_shift_construction() -> tuple[Graph, ListAssignment]:
+    """Iterated-copy construction with degeneracy 2 and 3-lists that
+    admits no packing, the d = 2 case of the family with degeneracy d
+    and (d+1)-lists.
 
     Layer 1 is K_{d+1} with lists [d+1].  Each later layer copies the
     previous one, joining every copy to the other d vertices of the
@@ -74,46 +69,22 @@ def gen_shift_construction(d: int) -> tuple[Graph, ListAssignment]:
     4 to equal those of layer 1 with colours 1 and 2 swapped; an apex
     with list [3] joined to the first vertex of layers 1 and 4 then has
     both small colours blocked twice over, so no packing exists.
-
-    Only d=2 is supported.
     """
-    if d != 2:
-        raise ValueError("gen_shift_construction supports d=2 only")
-    layer_size = d + 1
-    shifts = [(1, d + 2), (2, 1), (d + 2, 2)]
-
-    lists: list[tuple[int, ...]] = []
-    edges: list[tuple[int, int]] = []
-    base = tuple(range(1, d + 2))
-
-    # layer 1: K_{d+1}
-    layer = list(range(layer_size))
-    for v in layer:
-        lists.append(base)
-    for a in range(layer_size):
-        for b in range(a + 1, layer_size):
-            edges.append((layer[a], layer[b]))
-    first_layer = list(layer)
-
-    for i, j in shifts:
-        new_layer = []
-        for pos, v in enumerate(layer):
-            v_new = len(lists)
+    base = (1, 2, 3)
+    lists = [base] * 3
+    edges = [(0, 1), (0, 2), (1, 2)]
+    layer = [0, 1, 2]
+    for i, j in [(1, 4), (2, 1), (4, 2)]:
+        copies = list(range(len(lists), len(lists) + 3))
+        for v, v_new in zip(layer, copies):
             lists.append(_shift(lists[v], i, j))
-            # copy of v joins the previous layer minus v itself
-            for w in layer:
-                if w != v:
-                    edges.append((w, v_new))
-            new_layer.append(v_new)
-        layer = new_layer
-
+            # the copy of v joins the previous layer minus v itself
+            edges.extend((w, v_new) for w in layer if w != v)
+        layer = copies
     apex = len(lists)
     lists.append(base)
-    edges.append((first_layer[0], apex))
-    edges.append((layer[0], apex))
-
-    g = Graph.from_edges(len(lists), edges)
-    return g, ListAssignment.from_lists(lists)
+    edges += [(0, apex), (layer[0], apex)]
+    return Graph.from_edges(len(lists), edges), ListAssignment.from_lists(lists)
 
 
 def gen_kbb_lists(b: int) -> tuple[Graph, ListAssignment]:

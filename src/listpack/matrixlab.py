@@ -91,39 +91,25 @@ class CountMatrix:
 
 
 def permanent(a: BinaryMatrix) -> int:
-    """Exact permanent by Ryser's inclusion–exclusion over column
-    subsets, visited in Gray-code order so each step updates one column's
-    contribution.  Python integers keep the arithmetic exact at any k;
-    the k bound only caps the 2^k running time.
+    """Exact permanent by Ryser's inclusion–exclusion over the column
+    subsets cols: the sum of (-1)^(k - |cols|) times the product over the
+    rows of the number of their 1-entries in cols, read off the row
+    masks.  Python integers keep the arithmetic exact at any k; the k
+    bound only caps the O(2^k k) running time.
     """
     k = a.k
     if k > MAX_PERMANENT_K:
         raise ValueError(f"permanent supports k <= {MAX_PERMANENT_K}, got {k}")
-    if k == 0:
-        return 1
-    row_sums = [0] * k
+    masks = a.row_masks()
     total = 0
-    gray = 0
-    sign = -1 if k % 2 else 1
-    for step in range(1, 1 << k):
-        j = (step & -step).bit_length() - 1
-        if gray >> j & 1:
-            gray ^= 1 << j
-            for i in range(k):
-                row_sums[i] -= a.bits[i][j]
-        else:
-            gray ^= 1 << j
-            for i in range(k):
-                row_sums[i] += a.bits[i][j]
+    for cols in range(1 << k):
         prod = 1
-        for s in row_sums:
-            if s == 0:
-                prod = 0
+        for mask in masks:
+            prod *= (mask & cols).bit_count()
+            if not prod:
                 break
-            prod *= s
-        parity = -1 if bin(gray).count("1") % 2 else 1
-        total += parity * prod
-    return sign * total
+        total += -prod if (k - cols.bit_count()) % 2 else prod
+    return total
 
 
 def one_transversal(a: BinaryMatrix) -> Optional[tuple[int, ...]]:
@@ -134,8 +120,10 @@ def one_transversal(a: BinaryMatrix) -> Optional[tuple[int, ...]]:
 
 def zero_transversal(m: CountMatrix) -> Optional[tuple[int, ...]]:
     """Permutation hitting only zero cells of the count matrix, or None."""
-    zeros = np.array(m.counts).reshape(m.k, m.k) == 0
-    sigma = perfect_matching(_row_masks(zeros[None])[0], m.k)
+    zeros = [
+        sum(1 << j for j in range(m.k) if row[j] == 0) for row in m.counts
+    ]
+    sigma = perfect_matching(zeros, m.k)
     return None if sigma is None else tuple(sigma)
 
 

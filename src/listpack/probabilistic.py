@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constructive import PackingError, bipartite_sides, bipartition
+from .constructive import _checked, bipartite_sides, bipartition
 from .core import (
     CorrespondenceCover,
     Graph,
@@ -36,7 +36,6 @@ from .core import (
     Packing,
     barred_slots,
     list_to_cover,
-    validate_packing,
 )
 from .matching import perfect_matching
 
@@ -117,10 +116,7 @@ def pack_fractional(
             columns.append([lv[s] for s in sigma])
         else:
             packing = Packing.from_columns("list", k, columns)
-            err = validate_packing(list_to_cover(g, lists), packing)
-            if err is not None:
-                raise PackingError(f"internal validation failed: {err}")
-            return packing
+            return _checked(list_to_cover(g, lists), packing)
     return None
 
 
@@ -172,8 +168,4 @@ def pack_bipartite_lll(
             ordering[b] = [int(s) for s in rng.permutation(k)]
 
     columns = [ordering[v] if v in ordering else zero_trans(v) for v in range(g.n)]
-    packing = Packing.from_columns("cover", k, columns)
-    err = validate_packing(cover, packing)
-    if err is not None:
-        raise PackingError(f"internal validation failed: {err}")
-    return packing
+    return _checked(cover, Packing.from_columns("cover", k, columns))

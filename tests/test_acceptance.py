@@ -128,7 +128,7 @@ def test_criterion_02_clique_packing_numbers(report):
 
 def test_criterion_03_kab_cover_pins_correspondence_number(report):
     start = time.monotonic()
-    cover3 = gen_kab_cover(2)
+    cover3 = gen_kab_cover()
     no_packing = find_packing(cover3) is None
     # extend every matching to a full 4-fold cover (extra slot pairs with
     # itself across every edge) and pack at k = 4 = 2 * degeneracy
@@ -149,7 +149,7 @@ def test_criterion_03_kab_cover_pins_correspondence_number(report):
 
 def test_criterion_04_shift_construction(report):
     start = time.monotonic()
-    g, lists = gen_shift_construction(2)
+    g, lists = gen_shift_construction()
     _, d = degeneracy_order(g)
     ok = d == 2 and find_list_packing(g, lists) is None
     elapsed = time.monotonic() - start
@@ -228,7 +228,7 @@ def test_criterion_06_complete_packer_suite(report):
         done += 1
         la = ListAssignment.from_lists(lists)
         g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-        p = pack_complete(la, k)
+        p = pack_complete(la)
         if validate_packing(list_to_cover(g, la), p) is not None:
             failures += 1
     report(6, failures == 0, f"(200 clique list-assignments, {failures} failures)")

@@ -37,8 +37,8 @@ def test_gen_c4_solve_pipe_equivalent(tmp_path, capsys):
 def test_gen_round_trips(tmp_path, capsys):
     for argv in (
         ["gen", "c4"],
-        ["gen", "kab-cover", "--d", "2"],
-        ["gen", "shift", "--d", "2"],
+        ["gen", "kab-cover"],
+        ["gen", "shift"],
         ["gen", "kbb", "--b", "2"],
     ):
         code, out, _ = run(capsys, *argv)

@@ -120,14 +120,14 @@ def test_complete_packs_random_instances():
         g = Graph.from_edges(
             n, [(u, v) for u in range(n) for v in range(u + 1, n)]
         )
-        p = pack_complete(la, k)
+        p = pack_complete(la)
         assert p.k == k
         assert validate_packing(list_to_cover(g, la), p) is None
 
 
 def test_complete_identical_lists_give_latin_square():
     la = ListAssignment.from_lists([(1, 2, 3)] * 3)
-    p = pack_complete(la, 3)
+    p = pack_complete(la)
     # rows and columns are both permutations of the colour set
     for row in p.colourings:
         assert sorted(row) == [1, 2, 3]
@@ -137,12 +137,11 @@ def test_complete_identical_lists_give_latin_square():
 
 def test_complete_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        pack_complete(ListAssignment.from_lists([(1, 2), (1, 2)]), 3)
+        # k = 3 lists on n = 2 vertices
+        pack_complete(ListAssignment.from_lists([(1, 2, 3)] * 2))
     with pytest.raises(ValueError):
         # colour 1 on three lists with k = 2
-        pack_complete(
-            ListAssignment.from_lists([(1, 2), (1, 3), (1, 4)]), 2
-        )
+        pack_complete(ListAssignment.from_lists([(1, 2), (1, 3), (1, 4)]))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +341,23 @@ def test_packer_outputs_are_pinned():
         ]
     )
     assert got == PINNED_PACKINGS
+
+
+#: sha256 prefix of pack_complete's packings of 20 clique list
+#: assignments (n <= 9, seed 150), recorded before its rich-colour swap
+#: became a worklist; 20 of their 58 stages swap
+PINNED_COMPLETE = "82e048307b28c0ed"
+
+
+def test_complete_packings_are_pinned():
+    rng = random.Random(150)
+    packings = []
+    while len(packings) < 20:
+        n = rng.randint(1, 9)
+        la = random_clique_lists(rng, n, rng.randint(1, n))
+        if la is not None:
+            packings.append(pack_complete(la).colourings)
+    assert digest(packings) == PINNED_COMPLETE
 
 
 def test_packers_give_k_empty_colourings_without_vertices():

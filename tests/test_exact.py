@@ -144,11 +144,11 @@ def test_budget_exceeded_is_raised():
 
 def test_budget_exceeded_carries_the_nodes_spent():
     with pytest.raises(BudgetExceeded, match="after 44 nodes") as caught:
-        find_packing(gen_kab_cover(2), budget=43)
+        find_packing(gen_kab_cover(), budget=43)
     assert caught.value.nodes == 44
     # the budget runs out inside the first vertex's fixed identity column
     with pytest.raises(BudgetExceeded) as caught:
-        find_packing(gen_kab_cover(2), budget=1)
+        find_packing(gen_kab_cover(), budget=1)
     assert caught.value.nodes == 2
     # the deciders' searches draw on one budget, so the count is their sum
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -161,8 +161,8 @@ def test_search_node_counts_are_pinned():
     # each search decides with exactly this many nodes of budget
     cases = [
         lambda b: find_list_packing(*gen_c4(), budget=b),
-        lambda b: find_list_packing(*gen_shift_construction(2), budget=b),
-        lambda b: find_packing(gen_kab_cover(2), budget=b),
+        lambda b: find_list_packing(*gen_shift_construction(), budget=b),
+        lambda b: find_packing(gen_kab_cover(), budget=b),
         lambda b: find_list_packing(*gen_kbb_lists(3), budget=b),
     ]
     # with the first vertex's column free these were 22, 566, 248, 153,888

@@ -34,7 +34,7 @@ def test_c4_packs_after_padding_to_three_lists():
 
 
 def test_kab_cover_shape_and_permutation_census():
-    cover = gen_kab_cover(2)
+    cover = gen_kab_cover()
     g = cover.graph
     assert g.n == 8 and cover.k == 3
     assert len(g.edges) == 12  # K_{2,6}
@@ -51,11 +51,11 @@ def test_kab_cover_shape_and_permutation_census():
 
 
 def test_kab_cover_has_no_packing():
-    assert find_packing(gen_kab_cover(2)) is None
+    assert find_packing(gen_kab_cover()) is None
 
 
 def test_shift_construction_shape():
-    g, lists = gen_shift_construction(2)
+    g, lists = gen_shift_construction()
     assert lists.uniform_size() == 3
     order, d = degeneracy_order(g)
     assert d == 2
@@ -71,7 +71,7 @@ def test_shift_construction_shape():
 def test_shift_construction_no_packing_but_packs_without_apex():
     from listpack.core import Graph, ListAssignment
 
-    g, lists = gen_shift_construction(2)
+    g, lists = gen_shift_construction()
     assert find_list_packing(g, lists) is None
     apex = g.n - 1
     trimmed = Graph.from_edges(
@@ -120,3 +120,14 @@ def test_random_bipartite_cover_is_pinned():
     assert max(g.degrees()) <= 8
     assert all(len(pairs) == 9 for pairs in cover.matchings.values())
     assert gen_random_bipartite_cover(40, 8, 9, 140000) == cover
+
+
+def test_d2_tightness_instances_are_pinned():
+    # digests of the K_{2,6} cover and the shift construction, recorded
+    # when both generators still took the degeneracy d as a parameter
+    for instance, pinned in (
+        (gen_kab_cover(), "b5996c2638eeff39"),
+        (gen_shift_construction(), "11114bfa13756136"),
+    ):
+        text = dumps(instance_to_obj(instance))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == pinned

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -60,6 +60,23 @@ def test_permanent_matches_naive_on_seeded_random_matrices():
             [[rng.randint(0, 1) for _ in range(k)] for _ in range(k)]
         )
         assert permanent(a) == naive_permanent(a)
+
+
+#: D_k, the derangements of k elements, k = 0..12
+DERANGEMENTS = (
+    1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961, 14684570, 176214841
+)
+
+
+def test_permanent_of_all_ones_and_derangement_matrices():
+    # past the naive comparison: perm(J_k) = k! and perm(J_k - I_k) = D_k
+    for k, derangements in enumerate(DERANGEMENTS):
+        ones = BinaryMatrix.from_rows([[1] * k] * k)
+        assert permanent(ones) == factorial(k)
+        off_diagonal = BinaryMatrix.from_rows(
+            [[int(i != j) for j in range(k)] for i in range(k)]
+        )
+        assert permanent(off_diagonal) == derangements
 
 
 def test_one_transversal_examples():

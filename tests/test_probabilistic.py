@@ -118,7 +118,7 @@ def test_pack_bipartite_lll_gives_up_within_budget():
     # an unpackable cover: K_{2,6} with every 3-slot matching combination
     from listpack.generators import gen_kab_cover
 
-    cover = gen_kab_cover(2)
+    cover = gen_kab_cover()
     assert pack_bipartite_lll(cover, max_resamples=20, seed=0) is None
 
 
