@@ -10,11 +10,14 @@ hypothesis of the bound it realises:
                            colours (those on exactly k lists) first.
   * pack_bipartite_ordered — bipartite, k >= min(Delta_A, Delta_B) + 1;
                            the B side takes the unique sorted packing and
-                           each A vertex is finished independently by a
-                           system of distinct representatives.
+                           each A vertex is finished independently by one
+                           perfect matching (colourings vs slots).
   * pack_augment         — k >= 1 + Delta + chi_c_bound; grows a partial
                            packing by recolouring an independent
                            transversal with a missing colour.
+
+pack_degenerate, pack_bipartite_ordered and pack_bipartite_lll share one
+column loop, _fill_columns.
 
 All packers are deterministic pure functions of their inputs.
 """
@@ -22,7 +25,7 @@ All packers are deterministic pure functions of their inputs.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     CorrespondenceCover,
@@ -53,6 +56,27 @@ def _checked(cover: CorrespondenceCover, packing: Packing) -> Packing:
     return packing
 
 
+def _fill_columns(
+    cover: CorrespondenceCover,
+    vertices: Iterable[int],
+    sources: Sequence[Iterable[int]],
+    columns: list[Optional[Sequence[int]]],
+) -> Optional[int]:
+    """Give each vertex v in turn the column of a perfect matching of
+    the colourings to its slots, slot s barred from colouring i when it
+    conflicts with columns[u][i] for a u in sources[v].  Returns the
+    first v without one, or None once every vertex has its column."""
+    k, conflicts = cover.k, cover.conflicts
+    full = (1 << k) - 1
+    for v in vertices:
+        barred = barred_slots(k, conflicts[v], sources[v], columns)
+        col = perfect_matching([full & ~m for m in barred], k)
+        if col is None:
+            return v
+        columns[v] = col
+    return None
+
+
 def pack_degenerate(cover: CorrespondenceCover) -> Packing:
     """Greedy packer for k >= 2 * degeneracy(graph).
 
@@ -66,15 +90,10 @@ def pack_degenerate(cover: CorrespondenceCover) -> Packing:
     order, d = g.peel
     if k < 2 * d:
         raise ValueError(f"need k >= 2*degeneracy = {2 * d}, got k = {k}")
-    conflicts = cover.conflicts
-    full = (1 << k) - 1
     columns: list[Optional[list[int]]] = [None] * g.n
-    for v in order:
-        barred = barred_slots(k, conflicts[v], g.earlier[v], columns)
-        col = perfect_matching([full & ~m for m in barred], k)
-        if col is None:
-            raise PackingError(f"no perfect matching at vertex {v}")
-        columns[v] = col
+    v = _fill_columns(cover, order, g.earlier, columns)
+    if v is not None:
+        raise PackingError(f"no perfect matching at vertex {v}")
     return Packing.from_columns("cover", k, columns)
 
 
@@ -188,9 +207,9 @@ def pack_bipartite_ordered(g: Graph, lists: ListAssignment) -> Packing:
     The part with the smaller maximum degree extends a forced packing of
     the other part: on the list-cover, every B vertex gets the identity
     column (colouring i takes slot i, the i-th smallest colour of L(b))
-    and each A vertex picks a system of distinct representatives of the
-    colouring-index sets I_j, the colourings whose slot at no neighbour
-    holds the j-th colour of L(a).
+    and each A vertex matches the k colourings to its slots, slot s
+    barred from colouring i when a neighbour's i-th smallest colour is
+    the colour at slot s of L(a).
     """
     a_side, _, delta_a = bipartite_sides(g)
     k = lists.uniform_size()
@@ -198,19 +217,12 @@ def pack_bipartite_ordered(g: Graph, lists: ListAssignment) -> Packing:
         raise ValueError(
             f"need k >= Delta_A + 1 = {delta_a + 1}, got k = {k}"
         )
-    conflicts = list_to_cover(g, lists).conflicts
+    cover = list_to_cover(g, lists)
     # A is independent, so its identity columns are never read
     columns = [range(k)] * g.n
-    for a in a_side:
-        barred = barred_slots(k, conflicts[a], conflicts[a], columns)
-        index_sets = [
-            sum(1 << i for i in range(k) if not barred[i] >> j & 1)
-            for j in range(k)
-        ]
-        m = perfect_matching(index_sets, k)
-        if m is None:
-            raise PackingError(f"Hall condition failed at vertex {a}")
-        columns[a] = sorted(range(k), key=m.__getitem__)  # colouring m[j] takes slot j
+    a = _fill_columns(cover, a_side, cover.conflicts, columns)
+    if a is not None:
+        raise PackingError(f"Hall condition failed at vertex {a}")
     return slots_to_colours(lists, Packing.from_columns("cover", k, columns))
 
 

@@ -80,7 +80,7 @@ class Graph:
         return [len(s) for s in self.neighbours()]
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0) if self.n else 0
+        return max(self.degrees(), default=0)
 
     @cached_property
     def peel(self) -> tuple[tuple[int, ...], int]:
@@ -154,14 +154,13 @@ class CorrespondenceCover:
         graph: Graph,
         k: int,
         matchings: Mapping[tuple[int, int], Iterable[tuple[int, int]]],
-        lists: Optional[ListAssignment] = None,
     ) -> "CorrespondenceCover":
         norm = {}
         for (u, v), pairs in matchings.items():
             if u >= v:
                 raise ValueError(f"matching key ({u},{v}) must satisfy u < v")
             norm[(u, v)] = tuple(sorted(tuple(p) for p in pairs))
-        return CorrespondenceCover(graph=graph, k=k, matchings=norm, lists=lists)
+        return CorrespondenceCover(graph=graph, k=k, matchings=norm)
 
     def matching(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
         """Matching pairs oriented from u to v (inverted if u > v)."""
@@ -211,7 +210,7 @@ def barred_slots(
     k: int,
     conflicts_v: Mapping[int, Mapping[int, int]],
     sources: Iterable[int],
-    columns: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
+    columns: Sequence[Sequence[int]],
 ) -> list[int]:
     """barred[i]: bitmask of the slots of v that conflict with
     columns[u][i] for some u in sources.

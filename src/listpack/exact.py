@@ -53,8 +53,8 @@ class _Budget:
     def __init__(self, limit: Optional[int]):
         self.limit = self.remaining = DEFAULT_BUDGET if limit is None else limit
 
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
+    def spend(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceeded(self.limit - self.remaining)
 

@@ -11,10 +11,10 @@ adjacent colour classes are disjoint so adjacent vertices can never
 accept the same vector entry.
 
 pack_bipartite_lll packs a correspondence cover of a bipartite graph:
-the B side takes uniformly random slot orderings, an A vertex is bad
-when its conflict matrix (colouring i vs own slot s) has no
-0-transversal, and bad vertices trigger Moser-Tardos resampling of
-their neighbourhood orderings, lowest vertex id first.
+the B side takes uniformly random slot orderings; a scan solves each A
+column once, lowest id first (constructive._fill_columns), and the first
+A vertex whose conflict matrix has no 0-transversal is bad and triggers
+Moser-Tardos resampling of its neighbourhood orderings.
 
 Both packers validate their output before returning it; a returned
 packing is always valid, even when the guarantees behind the retry
@@ -28,13 +28,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constructive import _checked, bipartite_sides, bipartition
+from .constructive import _checked, _fill_columns, bipartite_sides, bipartition
 from .core import (
     CorrespondenceCover,
     Graph,
     ListAssignment,
     Packing,
-    barred_slots,
     list_to_cover,
 )
 from .matching import perfect_matching
@@ -129,43 +128,32 @@ def pack_bipartite_lll(
     """Moser-Tardos packer for covers of bipartite graphs.
 
     A is the part with the smaller maximum degree; B-side slot orderings
-    are sampled uniformly, bad A vertices (no 0-transversal of their
-    conflict matrix) have their neighbourhoods resampled until none are
-    left or the budget (default 10 * |A|) runs out.  on_resample,
-    if given, receives the bad vertex id at every resampling step.  A
-    malformed cover raises ValueError.
+    are sampled uniformly.  A scan solves each A column once, lowest id
+    first, up to the first bad A vertex (no 0-transversal of its
+    conflict matrix), whose neighbourhood is resampled; scans repeat
+    until one finds none or the budget (default 10 * |A|) runs out.
+    on_resample, if given, receives the bad vertex id at every
+    resampling step.  A malformed cover raises ValueError.
     """
     g, k = cover.graph, cover.k
     a_side, b_side, _ = bipartite_sides(g)
     if max_resamples is None:
         max_resamples = 10 * len(a_side)
-    conflicts = cover.conflicts
     nbrs = g.neighbours()
-    full = (1 << k) - 1
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    ordering: dict[int, list[int]] = {
-        b: [int(s) for s in rng.permutation(k)] for b in b_side
-    }
-
-    def zero_trans(a: int) -> Optional[list[int]]:
-        # a 0-transversal of the conflict matrix of a: colouring i takes
-        # a slot that no neighbour's colouring-i slot collides with
-        barred = barred_slots(k, conflicts[a], nbrs[a], ordering)
-        return perfect_matching([full & ~m for m in barred], k)
+    columns: list[Optional[list[int]]] = [None] * g.n
+    for b in b_side:
+        columns[b] = [int(s) for s in rng.permutation(k)]
 
     resamples = 0
-    while True:
-        bad = next((a for a in a_side if zero_trans(a) is None), None)
-        if bad is None:
-            break
+    while (bad := _fill_columns(cover, a_side, cover.conflicts, columns)) is not None:
         if resamples >= max_resamples:
             return None
         resamples += 1
         if on_resample is not None:
             on_resample(bad)
         for b in nbrs[bad]:
-            ordering[b] = [int(s) for s in rng.permutation(k)]
+            columns[b] = [int(s) for s in rng.permutation(k)]
 
-    columns = [ordering[v] if v in ordering else zero_trans(v) for v in range(g.n)]
     return _checked(cover, Packing.from_columns("cover", k, columns))

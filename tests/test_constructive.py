@@ -297,9 +297,13 @@ def digest(obj):
 
 #: sha256 prefixes of the packings' colourings, recorded before the
 #: packers shared core.barred_slots and CorrespondenceCover.conflicts;
-#: bip-ordered's (20 instances in one digest) before it used them;
 #: fractional's (C6, 5-of-8 lists, 20 seeds) before pack_fractional
-#: built its row masks without BinaryMatrix
+#: built its row masks without BinaryMatrix.  bip-ordered's (20
+#: instances in one digest) was re-recorded when its A vertices began
+#: matching colourings to slots rather than slots to colourings: the
+#: bipartite graph is the same, but Kuhn's algorithm returns another of
+#: its perfect matchings on most instances.  The test after these pins
+#: checks what must not move: sorted B columns and valid packings
 PINNED_PACKINGS = {
     ("degenerate", 1): "26f154dba732ffa6",
     ("augment", 1): "43c39073d53183e1",
@@ -310,7 +314,7 @@ PINNED_PACKINGS = {
     ("degenerate", 3): "ee8c994bedcfd1dc",
     ("augment", 3): "619b49d18243615a",
     ("bip-lll", 3): "d81526305eb8088c",
-    ("bip-ordered", "1-20"): "0e804adaa2affff0",
+    ("bip-ordered", "1-20"): "91c46f6cb75a5966",
     ("fractional", "1-20"): "b1b1dc4e1535e26b",
 }
 
@@ -341,6 +345,34 @@ def test_packer_outputs_are_pinned():
         ]
     )
     assert got == PINNED_PACKINGS
+
+
+def test_bipartite_ordered_pinned_instances_stay_sorted_and_valid():
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    instances = [random_bipartite_lists(random.Random(s)) for s in range(1, 21)]
+    instances.append((c4, ListAssignment.from_lists([[1, 2, 3]] * 4)))
+    for g, lists in instances:
+        p = pack_bipartite_ordered(g, lists)
+        assert validate_packing(list_to_cover(g, lists), p) is None
+        # colouring i gives every B vertex its i-th smallest colour
+        for b in bipartite_sides(g)[1]:
+            assert [row[b] for row in p.colourings] == list(lists.lists[b])
+
+
+#: sha256 prefix of the bad vertices pack_bipartite_lll passes to
+#: on_resample and of its answers on 40 seeded covers where every run
+#: resamples (2,524 resamples in all) and 20 runs give up
+PINNED_LLL_RESAMPLES = "1da668d860c4f3c0"
+
+
+def test_lll_resamples_are_pinned():
+    runs = []
+    for s in range(1, 41):
+        bad = []
+        cover = gen_random_bipartite_cover(10, 4, 4, s)
+        p = pack_bipartite_lll(cover, seed=s, on_resample=bad.append)
+        runs.append([bad, None if p is None else p.colourings])
+    assert digest(runs) == PINNED_LLL_RESAMPLES
 
 
 #: sha256 prefix of pack_complete's packings of 20 clique list

@@ -122,6 +122,28 @@ def test_pack_bipartite_lll_gives_up_within_budget():
     assert pack_bipartite_lll(cover, max_resamples=20, seed=0) is None
 
 
+def test_pack_bipartite_lll_matches_each_a_vertex_once(monkeypatch):
+    # a scan with no bad vertex leaves the packing in its columns, so a
+    # run without a resample calls the matcher once per A vertex
+    import listpack.constructive
+    import listpack.probabilistic
+    from listpack.matching import perfect_matching
+
+    calls = []
+
+    def counted(masks, k):
+        calls.append(k)
+        return perfect_matching(masks, k)
+
+    for module in (listpack.constructive, listpack.probabilistic):
+        monkeypatch.setattr(module, "perfect_matching", counted)
+    cover = gen_random_bipartite_cover(10, 3, 4, 4)
+    bad = []
+    p = pack_bipartite_lll(cover, seed=4, on_resample=bad.append)
+    assert p is not None and bad == []
+    assert len(calls) == 10  # |A|
+
+
 def test_pack_bipartite_lll_deterministic():
     cover = star_cover(4)
     assert pack_bipartite_lll(cover, seed=5) == pack_bipartite_lll(cover, seed=5)
