@@ -5,6 +5,10 @@ adjacency of left vertex u is the bitmask masks[u] (bit w set iff u is
 adjacent to w).  Left vertices are processed in ascending order and each
 mask is scanned lowest bit first, preferring an unmatched partner, so
 results are reproducible and complete adjacency yields the identity.
+A greedy first pass gives each left vertex with an unmatched neighbour
+the lowest one straight away; only a vertex without one starts the
+augmenting-path search.  That is the partner the search would take
+first, so the matchings are exactly those of the search alone.
 Sizes in this package are tiny (k is a list size), so the O(V*E) bound
 is irrelevant.
 """
@@ -18,23 +22,28 @@ def _kuhn(
     masks: Sequence[int], n_right: int, perfect: bool
 ) -> Optional[tuple[list[Optional[int]], list[Optional[int]]]]:
     """(match_left, match_right) of a maximum matching; with perfect=True,
-    None as soon as a left vertex stays unmatched (it never is later)."""
+    None as soon as a left vertex stays unmatched (it never is later).
+
+    `free` holds the unmatched right vertices.  A left vertex with a free
+    neighbour takes the lowest one inline, the partner augment would
+    take first; the others reset `unvisited` and search for an
+    augmenting path, whose free end is one lowest-bit test of
+    `avail & free`."""
     match_left: list[Optional[int]] = [None] * len(masks)
     match_right: list[Optional[int]] = [None] * n_right
     full = (1 << n_right) - 1
-    unvisited = full
+    free = unvisited = full
 
     def augment(u: int) -> bool:
-        nonlocal unvisited
+        nonlocal free, unvisited
         avail = masks[u] & unvisited
-        scan = avail
-        while scan:
-            low = scan & -scan
+        low = avail & free
+        if low:
+            low &= -low
+            free ^= low
             w = low.bit_length() - 1
-            if match_right[w] is None:
-                match_left[u], match_right[w] = w, u
-                return True
-            scan ^= low
+            match_left[u], match_right[w] = w, u
+            return True
         while avail:
             low = avail & -avail
             w = low.bit_length() - 1
@@ -45,7 +54,14 @@ def _kuhn(
             avail &= unvisited
         return False
 
-    for u in range(len(masks)):
+    for u, mask in enumerate(masks):
+        low = mask & free
+        if low:
+            low &= -low
+            free ^= low
+            w = low.bit_length() - 1
+            match_left[u], match_right[w] = w, u
+            continue
         unvisited = full
         if not augment(u) and perfect:
             return None

@@ -16,11 +16,13 @@ substream: key = seed, counter offset = t * 2^64, exactly as a fresh
 contract with one generator per call, whose counter, buffer and cached
 32-bit half are reset before each trial (`_substreams`), so trials can
 still be computed in any order or in parallel and merge to the exact
-sequential estimate.  Only the draw and the matcher run per trial: each
-block of `_BLOCK_TRIALS` samples is turned into boolean k x k matrices
-of allowed cells, bit-packed into Python-int row masks (`_row_masks`)
-in a few numpy calls, and then each trial counts a hit when the matcher
-finds no perfect matching.
+sequential estimate.  Only the draw and, where needed, the matcher run
+per trial: each block of `_BLOCK_TRIALS` samples is turned into boolean
+k x k matrices of allowed cells in a few numpy calls.  A matrix with an
+empty row or column breaks Hall's condition, so one vectorised check
+counts it as a hit; only the others are bit-packed into Python-int row
+masks (`_row_masks`), and each counts a hit when the matcher finds no
+perfect matching.
 """
 
 from __future__ import annotations
@@ -231,16 +233,21 @@ def _no_transversal_rate(
     call and `_substreams` resets its counter before each trial.  Samples
     are stacked in blocks of up to _BLOCK_TRIALS trials, and
     allowed(stack) returns the stack of boolean matrices, so the test of
-    the sample, the bit-pack and the conversion to Python-int masks run
-    once per block; only the draw and the matcher run per trial."""
+    the sample, the Hall check and the bit-pack run once per block.  The
+    Hall check counts every matrix with an empty row or column as a hit
+    (it has no perfect matching); only the rest are converted to
+    Python-int masks and given to the matcher, so the draw alone runs
+    for every trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hits = 0
     rngs = _substreams(seed)
     for start in range(0, trials, _BLOCK_TRIALS):
         size = min(_BLOCK_TRIALS, trials - start)
-        block = np.stack([draw(next(rngs)) for _ in range(size)])
-        for masks in _row_masks(allowed(block)):
+        cells = allowed(np.stack([draw(next(rngs)) for _ in range(size)]))
+        open_ = cells.any(axis=2).all(axis=1) & cells.any(axis=1).all(axis=1)
+        hits += size - int(np.count_nonzero(open_))
+        for masks in _row_masks(cells[open_]):
             if perfect_matching(masks, k) is None:
                 hits += 1
     return binomial_ci(hits, trials)

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import listpack.matrixlab as matrixlab
 from listpack.matching import perfect_matching
 from listpack.matrixlab import (
     BinaryMatrix,
     CountMatrix,
+    _row_masks,
     binomial_ci,
     frobenius_konig_witness,
     no_zero_transversal_prob_mc,
@@ -230,6 +232,12 @@ def test_matrix_constructors_validate():
         CountMatrix.from_rows([[-1]])
 
 
+ESTIMATORS = {
+    "perm-zero": zero_permanent_prob_mc,
+    "zero-transversal": no_zero_transversal_prob_mc,
+}
+
+
 #: (estimate, ci) at 300 trials, recorded before both estimators shared
 #: one trial loop and one numpy bit-pack of the sampled matrix
 PINNED_ESTIMATES = {
@@ -257,12 +265,8 @@ PINNED_ESTIMATES = {
 def test_estimates_are_pinned():
     # k = 70 rows do not fit a 64-bit mask: the estimators must stay
     # exact past it
-    estimator = {
-        "perm-zero": zero_permanent_prob_mc,
-        "zero-transversal": no_zero_transversal_prob_mc,
-    }
     got = {
-        (kind, a, b, seed): estimator[kind](a, b, 300, seed)
+        (kind, a, b, seed): ESTIMATORS[kind](a, b, 300, seed)
         for kind, a, b, seed in PINNED_ESTIMATES
     }
     assert got == PINNED_ESTIMATES
@@ -321,15 +325,55 @@ PINNED_HIGH_KEY_ESTIMATES = {
 
 
 def test_high_key_estimates_are_pinned():
-    estimator = {
-        "perm-zero": zero_permanent_prob_mc,
-        "zero-transversal": no_zero_transversal_prob_mc,
-    }
     got = {
-        (kind, a, b, seed, trials): estimator[kind](a, b, trials, seed)
+        (kind, a, b, seed, trials): ESTIMATORS[kind](a, b, trials, seed)
         for kind, a, b, seed, trials in PINNED_HIGH_KEY_ESTIMATES
     }
     assert got == PINNED_HIGH_KEY_ESTIMATES
+
+
+#: (estimate, ci) where a 32-trial block is partial or wholly decided by
+#: the empty-row-or-column check; recorded before that check was added
+PINNED_HALL_ESTIMATES = {
+    ("perm-zero", 8, 0.7, 5, 33): (0.696969696969697, 0.20606777780387422),
+    ("zero-transversal", 30, 11, 5, 33): (1.0, 0.13025099738221668),
+    ("perm-zero", 1, 0.3, 5, 33): (0.21212121212121213, 0.1833081877120426),
+    ("perm-zero", 12, 0.5, 5, 65): (0.0, 0.06839723418744781),
+}
+
+
+def test_hall_decided_estimates_are_pinned():
+    got = {
+        (kind, a, b, seed, trials): ESTIMATORS[kind](a, b, trials, seed)
+        for kind, a, b, seed, trials in PINNED_HALL_ESTIMATES
+    }
+    assert got == PINNED_HALL_ESTIMATES
+
+
+def test_row_masks_of_empty_stack():
+    # a block whose trials all have an empty row or column packs nothing
+    for k in (3, 70):
+        assert _row_masks(np.zeros((0, k, k), bool)) == []
+
+
+def test_matcher_sees_only_trials_the_hall_check_leaves_open(monkeypatch):
+    # a matrix with an empty row or column is a hit without the matcher:
+    # every (30, 11) sum has a row or column without a zero cell, and 2,308
+    # of the 4,000 (8, 0.7) matrices have an empty row or column
+    calls = []
+
+    def counting(masks, k):
+        calls.append(k)
+        return perfect_matching(masks, k)
+
+    monkeypatch.setattr(matrixlab, "perfect_matching", counting)
+    assert no_zero_transversal_prob_mc(30, 11, 1250, 1) == (
+        1.0,
+        0.003677358045582335,
+    )
+    assert len(calls) == 0
+    assert zero_permanent_prob_mc(8, 0.7, 4000, 1) == (0.6755, 0.01906808640254509)
+    assert len(calls) == 1692
 
 
 def reference_rate(k, trials, seed, allowed_rows):
