@@ -97,25 +97,19 @@ def pack_degenerate(cover: CorrespondenceCover) -> Packing:
     return Packing.from_columns("cover", k, columns)
 
 
-def _sdr(families: list[list[int]]) -> Optional[list[int]]:
-    """System of distinct representatives; families hold colour ids."""
-    universe = sorted({c for fam in families for c in fam})
-    index = {c: i for i, c in enumerate(universe)}
-    masks = [sum(1 << index[c] for c in fam) for fam in families]
-    m = perfect_matching(masks, len(universe))
-    if m is None:
-        return None
-    return [universe[i] for i in m]
-
-
 def _complete_stage(lists: list[tuple[int, ...]], k: int) -> list[int]:
     """One proper colouring of K_n from the given lists that uses every
     rich colour (a colour on exactly k lists)."""
     n = len(lists)
-    c = _sdr([list(lst) for lst in lists])
-    if c is None:
-        raise PackingError("Hall condition failed for the list SDR")
     counts = Counter(col for lst in lists for col in lst)
+    # c: a system of distinct representatives of the lists
+    universe = sorted(counts)
+    index = {col: i for i, col in enumerate(universe)}
+    masks = [sum(1 << index[col] for col in lst) for lst in lists]
+    m = perfect_matching(masks, len(universe))
+    if m is None:
+        raise PackingError("Hall condition failed for the list SDR")
+    c = [universe[i] for i in m]
     rich = sorted(r for r, cnt in counts.items() if cnt == k)
     masks = [sum(1 << v for v in range(n) if r in lists[v]) for r in rich]
     m = perfect_matching(masks, n)

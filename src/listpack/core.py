@@ -34,10 +34,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 SCHEMA_VERSION = "listpack/1"
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def checked_int(x, what: str) -> int:
     """x itself when it is an int; ValueError otherwise.  JSON true and
     1.5 are not integers, though int() takes them."""
@@ -63,7 +59,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
-            e = _normalize_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in norm:
                 raise ValueError(f"duplicate edge {e}")
             norm.add(e)

@@ -8,9 +8,11 @@ first vertex takes only the identity column: relabelling the k
 colourings maps packings to packings, so that loses no packing, and as
 the identity is the first column the full search would try there, the
 packing found is the same.  List packing is the same search on the
-list-cover.  All searches are complete; a configurable node budget
-turns runaway instances into a distinct BudgetExceeded outcome rather
-than a silent "none".
+list-cover; find_independent_transversal is its one-colouring version.
+Each search is one loop that keeps its backtracking state in
+per-vertex arrays, not on the Python stack.  All searches are
+complete; a configurable node budget turns runaway instances into a
+distinct BudgetExceeded outcome rather than a silent "none".
 
 A decider's "all pack" answer is proven assignment by assignment or
 cover by cover: the correspondence decider searches each cover it
@@ -79,64 +81,60 @@ def find_packing(
     nodes.  The identity is also the first column the search would try
     at that vertex, which has no earlier neighbours, so the packing
     returned is the first in search order, as without the fixing.  The
-    search recurses once per vertex and loops over the slots of a
-    column, so its stack depth is n whatever k is.  A malformed cover
-    raises ValueError (see CorrespondenceCover.conflicts).
+    search is one loop that keeps its backtracking state in per-vertex
+    arrays, so no n or k is too large for the Python stack.  A malformed
+    cover raises ValueError (see CorrespondenceCover.conflicts).
     """
     g, k = cover.graph, cover.k
-    order, earlier = g.peel[0], g.earlier
+    n, order, earlier = g.n, g.peel[0], g.earlier
     conflicts = cover.conflicts
     b = _as_budget(budget)
-    columns: list[Optional[tuple[int, ...]]] = [None] * g.n
     full = (1 << k) - 1
-
-    def dfs(idx: int) -> bool:
-        if idx == g.n:
-            return True
-        v = order[idx]
-        forbidden = barred_slots(k, conflicts[v], earlier[v], columns)
-        # col[:i] is a partial column using the slots in `used`; free[i]
-        # holds the slots colouring i has still to try, lowest first.
-        # One budget unit per partial column, the empty one included;
-        # k >= 1, as building the conflict maps checked.
-        col = [0] * k
-        free = [0] * k
-        b.spend()
-        i, used = 0, 0
-        free[0] = full & ~forbidden[0]
-        while i >= 0:
-            avail = free[i]
-            if not avail:
-                i -= 1
-                if i >= 0:
-                    used ^= 1 << col[i]
-                continue
+    # col[:i] = columns[v][:i] is a partial column of v = order[idx] using
+    # the slots in `used`; free[i] holds the slots colouring i has still
+    # to try, lowest first, and bar[i] those barred from it
+    columns: list[Optional[list[int]]] = [None] * n
+    frees: list = [None] * n
+    bars: list = [None] * n
+    idx, i = 0, -1  # i == -1: order[idx] not yet entered
+    while True:
+        if i < 0:
+            if idx == n:
+                return Packing.from_columns("cover", k, columns)
+            v = order[idx]
+            col = columns[v] = [0] * k
+            free = frees[idx] = [0] * k
+            bar = bars[idx] = barred_slots(k, conflicts[v], earlier[v], columns)
+            if not idx:  # order[0] takes only the identity column (see above)
+                bar[:] = (full ^ 1 << j for j in range(k))
+            # one budget unit per partial column, the empty one included;
+            # k >= 1, as building the conflict maps checked
+            b.spend()
+            i, used = 0, 0
+            free[0] = full & ~bar[0]
+        avail = free[i]
+        if avail:
             low = avail & -avail
             free[i] = avail ^ low
             col[i] = low.bit_length() - 1
             b.spend()
             if i + 1 == k:
-                columns[v] = tuple(col)
-                if dfs(idx + 1):
-                    return True
-                continue
-            used |= low
-            i += 1
-            free[i] = full & ~(forbidden[i] | used)
-        columns[v] = None
-        return False
-
-    # order[0] on the identity column (see above); its 1 + k nodes are
-    # spent one at a time, so BudgetExceeded counts the first one over
-    start = 0
-    if g.n:
-        for _ in range(k + 1):
-            b.spend()
-        columns[order[0]] = tuple(range(k))
-        start = 1
-    if not dfs(start):
-        return None
-    return Packing.from_columns("cover", k, columns)
+                idx, i = idx + 1, -1
+            else:
+                used |= low
+                i += 1
+                free[i] = full & ~(bar[i] | used)
+        elif i:
+            i -= 1
+            used ^= 1 << col[i]
+        elif idx:
+            # back to the last colouring of the previous vertex, whose
+            # column is a permutation of the k slots
+            idx, i = idx - 1, k - 1
+            col, free, bar = columns[order[idx]], frees[idx], bars[idx]
+            used = full ^ 1 << col[i]
+        else:
+            return None
 
 
 def find_list_packing(
@@ -154,48 +152,51 @@ def find_independent_transversal(
     budget: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
     """One slot per vertex, a bit of the slot mask allowed[v], no matched
-    pair chosen: the search of find_packing for a single colouring.  It
-    tries each vertex's allowed slots lowest first, one budget unit per
-    slot tried.  A malformed cover, len(allowed) != n, or a mask that is
-    negative or has a bit at k or above raises ValueError."""
+    pair chosen: the loop of find_packing for a single colouring, with
+    one position per vertex.  It tries each vertex's allowed slots
+    lowest first, one budget unit per slot tried.  A malformed cover,
+    len(allowed) != n, or a mask that is negative or has a bit at k or
+    above raises ValueError."""
     g, k = cover.graph, cover.k
     if len(allowed) != g.n:
         raise ValueError(f"allowed has {len(allowed)} entries for {g.n} vertices")
     for v, mask in enumerate(allowed):
         if mask < 0 or mask >> k:
             raise ValueError(f"allowed[{v}] contains a slot outside 0..{k - 1}")
-    order, earlier = g.peel[0], g.earlier
+    n, order, earlier = g.n, g.peel[0], g.earlier
     conflicts = cover.conflicts
     b = _as_budget(budget)
-    chosen = [0] * g.n  # the slot of each vertex already placed
-
-    def dfs(idx: int) -> bool:
-        if idx == g.n:
-            return True
+    chosen = [0] * n  # the slot of each vertex already placed
+    # untried[idx]: the allowed slots of order[idx] still to try, -1 until
+    # it is entered; forbidden[idx]: those matched to an earlier choice
+    untried = [-1] * n
+    forbidden = [0] * n
+    idx = 0
+    while 0 <= idx < n:
         v = order[idx]
-        conflicts_v = conflicts[v]
-        forbidden = 0
-        for u in earlier[v]:
-            edge = conflicts_v.get(u)
-            if edge is not None:
-                s = edge.get(chosen[u])
-                if s is not None:
-                    forbidden |= 1 << s
-        avail = allowed[v]
-        while avail:
+        avail = untried[idx]
+        if avail < 0:
+            conflicts_v = conflicts[v]
+            barred = 0
+            for u in earlier[v]:
+                edge = conflicts_v.get(u)
+                if edge is not None:
+                    s = edge.get(chosen[u])
+                    if s is not None:
+                        barred |= 1 << s
+            forbidden[idx] = barred
+            avail = allowed[v]
+        if avail:
             low = avail & -avail
-            avail ^= low
+            untried[idx] = avail ^ low
             b.spend()
-            if forbidden & low:
-                continue
-            chosen[v] = low.bit_length() - 1
-            if dfs(idx + 1):
-                return True
-        return False
-
-    if not dfs(0):
-        return None
-    return tuple(chosen)
+            if not forbidden[idx] & low:
+                chosen[v] = low.bit_length() - 1
+                idx += 1
+        else:
+            untried[idx] = -1
+            idx -= 1
+    return None if idx < 0 else tuple(chosen)
 
 
 def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
@@ -306,17 +307,24 @@ def _cycle_type_representatives(k: int) -> Iterator[tuple[int, ...]]:
     the cycles, of ascending length, on consecutive slots, each mapping
     a slot to the next and the last back to the first; (1, 0, 3, 4, 2)
     for type (2, 3).  Each is the lex-first permutation of its type.
-    Built lazily from the partitions of k."""
-
-    def reps(start: int, least: int) -> Iterator[tuple[int, ...]]:
-        # permutations of start..k-1 into cycles of length >= least
-        for length in range(least, (k - start) // 2 + 1):
-            cycle = (*range(start + 1, start + length), start)
-            for tail in reps(start + length, length):
-                yield cycle + tail
-        yield (*range(start + 1, k), start)
-
-    return reps(0, 1)
+    Built lazily from the partitions of k; a k below 1 raises
+    ValueError."""
+    if k < 1:
+        raise ValueError(f"fold k={k} must be positive")
+    # Kelleher's rule_asc: parts[:m + 1] runs through the partitions of
+    # k as ascending compositions, in lexicographic order
+    parts, m = [0, k] + [0] * (k - 1), 1
+    while m:
+        x, y, m = parts[m - 1] + 1, parts[m] - 1, m - 1
+        while x <= y:
+            parts[m] = x
+            y, m = y - x, m + 1
+        parts[m] = x + y
+        perm, start = list(range(1, k + 1)), 0
+        for length in parts[: m + 1]:
+            start += length
+            perm[start - 1] = start - length
+        yield tuple(perm)
 
 
 def _non_forest_edges(

@@ -68,6 +68,29 @@ def test_solve_packable_instance(tmp_path, capsys):
     assert validate_packing(list_to_cover(g, lists), packing) is None
 
 
+def test_solve_and_augment_run_past_the_recursion_limit(tmp_path, capsys):
+    # more vertices than the default recursion limit: both used to exit 70
+    from listpack.core import list_to_cover
+
+    path = {
+        "n": 1500,
+        "edges": [[v, v + 1] for v in range(1499)],
+        "lists": [[1, 2]] * 1500,
+    }
+    edgeless = {"n": 1100, "edges": [], "lists": [[1, 2]] * 1100}
+    for name, obj, argv in (
+        ("path", path, ["solve"]),
+        ("edgeless", edgeless, ["pack", "--method", "augment"]),
+    ):
+        inst = tmp_path / f"{name}.json"
+        inst.write_text(json.dumps(obj))
+        code, out, err = run(capsys, argv[0], str(inst), *argv[1:])
+        assert code == 0 and err == "", (name, err)
+        packing = packing_from_obj(record(out)["packing"])
+        cover = list_to_cover(*instance_from_obj(obj))
+        assert validate_packing(cover, packing) is None
+
+
 def test_solve_missing_file_is_65(capsys):
     code, out, err = run(capsys, "solve", "missing.json")
     assert code == 65

@@ -235,6 +235,15 @@ def test_augment_edgeless_graph():
     assert validate_packing(cover, p) is None
 
 
+def test_augment_runs_past_the_recursion_limit():
+    # 1,100 vertices, more than the default recursion limit, each round
+    # one transversal search over all of them
+    g = Graph.from_edges(1100, [])
+    cover = CorrespondenceCover.from_matchings(g, 2, {})
+    p = pack_augment(cover)
+    assert validate_packing(cover, p) is None
+
+
 # ---------------------------------------------------------------------------
 # outputs pinned across rewrites of the conflict maps
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import tracemalloc
 from itertools import combinations, permutations, product
@@ -222,6 +223,23 @@ def test_independent_transversal_node_counts_are_pinned():
         assert find_independent_transversal(cover, [0b11] * 3, budget=nodes) == found
         with pytest.raises(BudgetExceeded):
             find_independent_transversal(cover, [0b11] * 3, budget=nodes - 1)
+
+
+def test_searches_run_past_the_recursion_limit():
+    # a path of 1,500 vertices, more than the default recursion limit:
+    # both searches backtrack in a loop, so each returns a valid answer
+    n = 1500
+    g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    lists = ListAssignment.from_lists([[1, 2]] * n)
+    cover = list_to_cover(g, lists)
+    for found in (find_packing(cover), find_list_packing(g, lists)):
+        assert found is not None and validate_packing(cover, found) is None
+    t = find_independent_transversal(cover, [0b11] * n)
+    assert t is not None and len(t) == n
+    conflicts = cover.conflicts
+    for v in range(n):
+        for u, edge in conflicts[v].items():
+            assert edge.get(t[u]) != t[v], (u, v)
 
 
 def test_independent_transversal_matches_brute_force():
@@ -526,6 +544,28 @@ def test_cycle_type_representatives_are_the_lex_first_of_each_type():
                 first.setdefault(cycle_type(p), p)
             assert reps == sorted(first.values())
     assert (1, 0, 3, 4, 2) in _cycle_type_representatives(5)
+
+
+def test_cycle_type_representatives_are_pinned():
+    # sha256 prefix recorded while the partitions were built recursively
+    reps = [list(_cycle_type_representatives(k)) for k in range(1, 21)]
+    assert sum(map(len, reps)) == 2713
+    digest = hashlib.sha256(json.dumps(reps).encode()).hexdigest()[:16]
+    assert digest == "fa640db8184d6c19"
+    with pytest.raises(ValueError, match="fold k=0 must be positive"):
+        next(_cycle_type_representatives(0))
+    k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="fold k=0 must be positive"):
+        decide_chi_star_corr(k3, 0)
+
+
+def test_decide_chi_star_corr_at_k1100_spends_its_budget():
+    # 1,100 one-cycles in the first cycle type, more than the default
+    # recursion limit: the search runs until the budget is spent
+    k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(BudgetExceeded) as caught:
+        decide_chi_star_corr(k3, 1100, budget=10_000)
+    assert caught.value.nodes == 10_001
 
 
 def test_decide_chi_star_corr_cover_counts_are_pinned(monkeypatch):
