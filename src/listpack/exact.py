@@ -18,7 +18,16 @@ A decider's "all pack" answer is proven assignment by assignment or
 cover by cover: the correspondence decider searches each cover it
 enumerates; the list decider certifies an assignment either by the
 Hall peel of _hall_peels, which needs no search, or by the search.
-Budgets count search nodes only.
+The list decider peels each prefix of its enumeration once, counting
+every vertex whose list is still open at its worst (it adds 1 to a
+and 1 to b of each alive neighbour, and goes when 2 * (its alive
+neighbours) <= k).  Deletion only lowers a and b, so the peel has one
+fixpoint and a prefix's deletions are made by the peel of each of its
+completions; a prefix that peels to nothing certifies its whole
+subtree, and a full assignment is left with exactly the vertices that
+_hall_peels leaves, so the same assignments are searched in the same
+order.  Both deciders enumerate in loops, not by recursion.  Budgets
+count search nodes only.
 """
 
 from __future__ import annotations
@@ -199,42 +208,45 @@ def find_independent_transversal(
     return None if idx < 0 else tuple(chosen)
 
 
-def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
-    """All k-list-assignments on n vertices, canonical up to colour
-    relabelling.
+def _peel(
+    nbrs: Sequence[Iterable[int]],
+    masks: Sequence[int],
+    k: int,
+    fixed: int,
+    alive: int,
+    work: list[int],
+) -> int:
+    """The Hall peel of _hall_peels on the vertices of the bitmask
+    alive when only the vertices below `fixed` have lists (masks[v] is
+    the colour bitmask of L(v)); returns the vertices left.
 
-    Canonical form: colours are named by first appearance in vertex-then-
-    slot scan order (lists sorted ascending), so at each vertex the fresh
-    colours are exactly the next unused integers.  Every assignment is a
-    colour permutation of exactly one canonical one.  Colours stay below
-    n*k, the palette needed when every vertex is private.
+    An alive neighbour u of v adds 1 to a and to the count of each
+    colour of L(v) that L(u) has; if L(u) or L(v) is open, it adds 1 to
+    a and to b, its most.  Only the vertices in `work` and the alive
+    neighbours of each deleted vertex are examined, so `work` must hold
+    every alive vertex whose counts fell since `alive` was peeled.
     """
-    lists: list[tuple[int, ...]] = []
-
-    def rec(v: int, m: int) -> Iterator[ListAssignment]:
-        if v == n:
-            yield ListAssignment(lists=tuple(lists))
-            return
-        for t in range(k + 1):
-            fresh = tuple(range(m, m + t))
-            for old in combinations(range(m), k - t):
-                lists.append(old + fresh)
-                yield from rec(v + 1, m + t)
-                lists.pop()
-
-    yield from rec(0, 0)
-
-
-def _first_unpackable(
-    covers: Iterable[CorrespondenceCover], budget: Optional[int]
-) -> Optional[CorrespondenceCover]:
-    """The first cover that find_packing finds no packing for, every
-    search drawing on one shared budget; None when all of them pack."""
-    b = _Budget(budget)
-    for cover in covers:
-        if find_packing(cover, budget=b) is None:
-            return cover
-    return None
+    while work:
+        v = work.pop()
+        if not alive >> v & 1:
+            continue
+        mv, ab = masks[v], 0
+        levels = []  # levels[j]: colours of L(v) in more than j listed L(u)
+        for u in nbrs[v]:
+            if alive >> u & 1:
+                if u >= fixed or v >= fixed:
+                    ab += 2
+                elif m := masks[u] & mv:
+                    ab += 1
+                    for j, level in enumerate(levels):
+                        levels[j] = level | m
+                        m &= level
+                    if m:
+                        levels.append(m)
+        if ab + len(levels) <= k:  # a + b <= k
+            alive ^= 1 << v
+            work.extend(u for u in nbrs[v] if alive >> u & 1)
+    return alive
 
 
 def _hall_peels(
@@ -253,26 +265,91 @@ def _hall_peels(
     still pair, the minimum degrees are k - a and k - b, which sum to
     at least k, and Hall's condition holds: a perfect matching extends
     the packing to v.  Deletion only lowers a and b, so the order of
-    deletions does not matter.
+    deletions does not matter.  This is _peel with every list fixed.
     """
+    n = len(lists)
     masks = [sum(1 << c for c in lst) for lst in lists]
-    alive = set(range(len(lists)))
-    deleted = True
-    while alive and deleted:
-        deleted = False
-        for v in tuple(alive):
-            mv = masks[v]
-            meet = [m for u in nbrs[v] if u in alive and (m := masks[u] & mv)]
-            a = len(meet)
-            if 2 * a > k:  # else a + b <= 2a <= k
-                if a >= k:  # b >= 1 whenever a >= 1
-                    continue
-                b = max(sum(m >> c & 1 for m in meet) for c in lists[v])
-                if a + b > k:
-                    continue
-            alive.remove(v)
-            deleted = True
-    return not alive
+    return not _peel(nbrs, masks, k, n, (1 << n) - 1, list(range(n)))
+
+
+def _list_options(m: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The lists a vertex may take in canonical form after colours
+    0..m-1 are used, lazily, each with the colours used after it: k - t
+    old colours, then the t fresh ones m..m+t-1 (colours are named by
+    first appearance)."""
+    for t in range(k + 1):
+        fresh = tuple(range(m, m + t))
+        for old in combinations(range(m), k - t):
+            yield old + fresh, m + t
+
+
+def _canonical_assignments(
+    n: int, k: int, nbrs: Optional[Sequence[Iterable[int]]] = None
+) -> Iterator[ListAssignment]:
+    """canonical_list_assignments(n, k); given the graph's neighbour
+    sets nbrs, only the assignments that _hall_peels does not certify.
+
+    One loop over the vertices 0..n-1 keeps per depth v the options v
+    has still to try, the colours used before it and, with nbrs, the
+    bitmask of the vertices that the peel of the prefix 0..v-1 leaves.
+    A prefix that peels to nothing is not extended.
+    """
+    lists: list[tuple[int, ...]] = [()] * n
+    masks = [0] * n
+    used = [0] * (n + 1)  # used[v]: the colours 0..m-1 of the prefix 0..v-1
+    options: list = [None] * n
+    alive = [0] * (n + 1)
+    if nbrs is not None:
+        alive[0] = _peel(nbrs, masks, k, 0, (1 << n) - 1, list(range(n)))
+        if not alive[0]:
+            return
+    v = 0
+    while v >= 0:
+        if v == n:
+            yield ListAssignment(lists=tuple(lists))
+            v -= 1
+            continue
+        if options[v] is None:
+            options[v] = _list_options(used[v], k)
+        option = next(options[v], None)
+        if option is None:
+            options[v] = None
+            v -= 1
+            continue
+        lists[v], used[v + 1] = option
+        if nbrs is not None:
+            masks[v] = sum(1 << c for c in option[0])
+            work = [v, *(u for u in nbrs[v] if u < v)]
+            live = alive[v + 1] = _peel(nbrs, masks, k, v + 1, alive[v], work)
+            if not live:
+                continue  # every assignment extending this prefix packs
+        v += 1
+
+
+def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
+    """All k-list-assignments on n vertices, canonical up to colour
+    relabelling.
+
+    Canonical form: colours are named by first appearance in vertex-then-
+    slot scan order (lists sorted ascending), so at each vertex the fresh
+    colours are exactly the next unused integers.  Every assignment is a
+    colour permutation of exactly one canonical one.  Colours stay below
+    n*k, the palette needed when every vertex is private.  The
+    enumeration is one loop, so no n is too large for the Python stack.
+    """
+    return _canonical_assignments(n, k)
+
+
+def _first_unpackable(
+    covers: Iterable[CorrespondenceCover], budget: Optional[int]
+) -> Optional[CorrespondenceCover]:
+    """The first cover that find_packing finds no packing for, every
+    search drawing on one shared budget; None when all of them pack."""
+    b = _Budget(budget)
+    for cover in covers:
+        if find_packing(cover, budget=b) is None:
+            return cover
+    return None
 
 
 def decide_chi_star_list(
@@ -285,18 +362,26 @@ def decide_chi_star_list(
     and is skipped; every other one is searched by find_packing on its
     list-cover.  Skipping packable assignments keeps the first
     unpackable one, so the witness is the one an unfiltered loop finds.
-    When 2d <= k for the degeneracy d, the peel along the degeneracy
-    order certifies every assignment (a + b <= 2d), so the answer is
-    None without enumerating.  The budget counts search nodes only, so
-    it may decide where searching every assignment would exhaust it.
+
+    The peel runs on each prefix of the enumeration, once, as its last
+    list is fixed (_canonical_assignments), starting from the vertices its
+    parent prefix left.  A vertex whose list is open is counted at its
+    worst (_peel): it goes when 2 * (its alive neighbours) <= k, and
+    counts once in a and once in b of each listed alive neighbour; a
+    fixed list can only lower those counts.  Deletion only lowers a and
+    b, so the peel's fixpoint is unique, and every deletion made on a
+    prefix is made by the full peel of each of its completions: if a
+    prefix peels to nothing, every assignment under it packs and the
+    subtree is skipped, and at a full assignment the vertices left are
+    exactly those _hall_peels leaves.  So the searched assignments,
+    their order and the witness are those of the filter above.  With no
+    list fixed the peel deletes exactly the k/2-core, so when 2d <= k
+    for the degeneracy d the answer is None without enumerating.  The
+    budget counts search nodes only, so it may decide where searching
+    every assignment would exhaust it.
     """
-    if 2 * g.peel[1] <= k:
-        return None  # the 2·degeneracy bound; also the empty graph
-    nbrs = g.neighbours()
     covers = (
-        list_to_cover(g, a)
-        for a in canonical_list_assignments(g.n, k)
-        if not _hall_peels(nbrs, a.lists, k)
+        list_to_cover(g, a) for a in _canonical_assignments(g.n, k, g.neighbours())
     )
     witness = _first_unpackable(covers, budget)
     return None if witness is None else witness.lists
@@ -374,8 +459,9 @@ def decide_chi_star_corr(
       them needs only one permutation per cycle type.
 
     The covers come lazily, in lexicographic order of their matchings
-    along the sorted edges, with no table of the k! permutations, so a
-    large k spends budget, not memory.
+    along the sorted edges, from one odometer loop with no table of the
+    k! permutations, so a large k spends budget, not memory, and no
+    number of edges is too large for the Python stack.
     """
     edges = sorted(g.edges)
     if not edges:
@@ -384,13 +470,26 @@ def decide_chi_star_corr(
     free = _non_forest_edges(g.n, edges)
     matchings = dict.fromkeys(edges, tuple((i, i) for i in range(k)))
 
-    def covers(j: int) -> Iterator[CorrespondenceCover]:
-        if j == len(free):
-            yield CorrespondenceCover(graph=g, k=k, matchings=dict(matchings))
-            return
-        perms = _cycle_type_representatives(k) if j == 0 else permutations(range(k))
-        for p in perms:
-            matchings[free[j]] = tuple(enumerate(p))
-            yield from covers(j + 1)
+    def covers() -> Iterator[CorrespondenceCover]:
+        # an odometer over the non-forest edges, the last turning fastest;
+        # perms[j] holds the permutations edge j has still to take
+        perms: list = [None] * len(free)
+        j = 0
+        while j >= 0:
+            if j == len(free):
+                yield CorrespondenceCover(graph=g, k=k, matchings=dict(matchings))
+                j -= 1
+                continue
+            if perms[j] is None:
+                perms[j] = (
+                    _cycle_type_representatives(k) if j == 0 else permutations(range(k))
+                )
+            p = next(perms[j], None)
+            if p is None:
+                perms[j] = None
+                j -= 1
+            else:
+                matchings[free[j]] = tuple(enumerate(p))
+                j += 1
 
-    return _first_unpackable(covers(0), budget)
+    return _first_unpackable(covers(), budget)

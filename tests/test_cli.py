@@ -91,6 +91,29 @@ def test_solve_and_augment_run_past_the_recursion_limit(tmp_path, capsys):
         assert validate_packing(cover, packing) is None
 
 
+def test_chi_star_runs_past_the_recursion_limit(tmp_path, capsys):
+    # a 1,500-vertex cycle (1,500 list depths) and K50 (1,176 non-forest
+    # edges): both deciders used to exit 70 with RecursionError.  The
+    # cycle's first assignment needs a search longer than the budget;
+    # K50's first cover, all identities, has no packing
+    cycle = {"n": 1500, "edges": [[v, (v + 1) % 1500] for v in range(1500)]}
+    k50 = {"n": 50, "edges": [[u, v] for u in range(50) for v in range(u + 1, 50)]}
+    for mode, obj, code, result in (
+        ("list", cycle, 2, "budget-exceeded"),
+        ("corr", k50, 1, "witness"),
+    ):
+        graph = tmp_path / f"{mode}.json"
+        graph.write_text(json.dumps(obj))
+        argv = ["chi-star", mode, str(graph), "--k", "3" if mode == "list" else "2"]
+        got, out, err = run(capsys, *argv, "--budget", "1000")
+        assert (got, record(out)["result"], err) == (code, result, ""), mode
+    from listpack.exact import find_packing
+
+    witness = instance_from_obj(record(out)["witness"])
+    assert len(witness.matchings) == 1225 and find_packing(witness) is None
+    assert set(witness.matchings.values()) == {((0, 0), (1, 1))}
+
+
 def test_solve_missing_file_is_65(capsys):
     code, out, err = run(capsys, "solve", "missing.json")
     assert code == 65

@@ -396,7 +396,8 @@ def test_hall_peel_reads_both_counts():
 
 def test_decide_chi_star_list_searched_counts_are_pinned(monkeypatch):
     # P4 at k = 3 and K3 at k = 5 have 2d <= k, so nothing is searched;
-    # on C4 at k = 3, 925 of the 7,284 canonical assignments are
+    # on C4 at k = 3, 925 of the 7,284 canonical assignments are, and on
+    # C5 at k = 3, 15,433 of 507,622
     searched = []
 
     def counting(cover, budget=None):
@@ -404,7 +405,8 @@ def test_decide_chi_star_list_searched_counts_are_pinned(monkeypatch):
         return find_packing(cover, budget=budget)
 
     monkeypatch.setattr(exact, "find_packing", counting)
-    for name, k, count in (("P4", 3, 0), ("K3", 5, 0), ("C4", 3, 925)):
+    cases = (("P4", 3, 0), ("K3", 5, 0), ("C4", 3, 925), ("C5", 3, 15433))
+    for name, k, count in cases:
         searched.clear()
         assert decide_chi_star_list(small_graph(name), k) is None
         assert len(searched) == count, name
@@ -423,6 +425,94 @@ def test_decide_chi_star_list_matches_unfiltered_loop(name):
         first = _first_unpackable(covers, None)
         expected = None if first is None else first.lists
         assert decide_chi_star_list(g, k) == expected, (name, k)
+
+
+@pytest.mark.parametrize("name", ["C4", "K4", "paw", "diamond"])
+def test_decide_chi_star_list_searches_what_the_full_peel_leaves(monkeypatch, name):
+    # the prefix peel skips whole subtrees, but the covers searched are,
+    # in order, those of the filter that peels each full assignment
+    searched = []
+
+    def counting(cover, budget=None):
+        searched.append(cover.lists)
+        return find_packing(cover, budget=budget)
+
+    monkeypatch.setattr(exact, "find_packing", counting)
+    g = small_graph(name)
+    nbrs = g.neighbours()
+    for k in (2, 3):
+        reference = [
+            a
+            for a in canonical_list_assignments(g.n, k)
+            if not _hall_peels(nbrs, a.lists, k)
+        ]
+        searched.clear()
+        witness = decide_chi_star_list(g, k)
+        if witness is None:
+            assert searched == reference, (name, k)
+        else:  # the search stops at the witness
+            assert searched == reference[: len(searched)] and searched[-1] == witness
+
+
+@pytest.mark.parametrize("name", list(SMALL_GRAPHS))
+def test_peel_with_no_list_fixed_leaves_the_k_over_2_core(name):
+    # an open vertex goes when 2 * (its alive neighbours) <= k, so with
+    # no list fixed the peel leaves nothing exactly when 2d <= k
+    g = small_graph(name)
+    nbrs, n = g.neighbours(), g.n
+    for k in range(1, 2 * n):
+        left = exact._peel(nbrs, [0] * n, k, 0, (1 << n) - 1, list(range(n)))
+        core = set(range(n))
+        while drop := [v for v in core if 2 * len(nbrs[v] & core) <= k]:
+            core -= set(drop)
+        assert left == sum(1 << v for v in core), (name, k)
+        assert (left == 0) == (2 * g.peel[1] <= k), (name, k)
+
+
+def hall_peel_left(nbrs, lists, k):
+    """The vertices the Hall peel leaves, by its definition: delete a
+    vertex with a + b <= k while there is one."""
+    alive = set(range(len(lists)))
+    while True:
+        for v in sorted(alive):
+            meets = [set(lists[u]) & set(lists[v]) for u in nbrs[v] if u in alive]
+            meets = [m for m in meets if m]
+            b = max((sum(c in m for m in meets) for c in lists[v]), default=0)
+            if len(meets) + b <= k:
+                alive.remove(v)
+                break
+        else:
+            return alive
+
+
+def test_prefix_peel_keeps_every_vertex_the_full_peel_keeps():
+    # a prefix's peel deletes only vertices that the peel of the full
+    # assignment deletes, and with every list fixed it is the Hall peel
+    rng = random.Random(19)
+    for _ in range(300):
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+        g = Graph.from_edges(
+            n, [e for e in combinations(range(n), 2) if rng.random() < 0.6]
+        )
+        nbrs = g.neighbours()
+        lists = [tuple(sorted(rng.sample(range(2 * k), k))) for _ in range(n)]
+        masks = [sum(1 << c for c in lst) for lst in lists]
+        full = exact._peel(nbrs, masks, k, n, (1 << n) - 1, list(range(n)))
+        assert full == sum(1 << v for v in hall_peel_left(nbrs, lists, k))
+        for fixed in range(n + 1):
+            # the open lists are never read: stale masks change nothing
+            stale = masks[:fixed] + [rng.getrandbits(2 * k) for _ in masks[fixed:]]
+            left = exact._peel(nbrs, stale, k, fixed, (1 << n) - 1, list(range(n)))
+            assert left & full == full, (lists, fixed)
+            assert left == exact._peel(
+                nbrs, masks, k, fixed, (1 << n) - 1, list(range(n))
+            ), (lists, fixed)
+
+
+def test_canonical_enumeration_runs_past_the_recursion_limit():
+    # one loop, not one Python frame per vertex
+    first = next(canonical_list_assignments(1500, 3))
+    assert first.lists == ((0, 1, 2),) * 1500
 
 
 def test_decide_chi_star_list_c5_at_k3_all_pack():
