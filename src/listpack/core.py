@@ -172,7 +172,7 @@ class CorrespondenceCover:
         violation in ascending edge order.  Computed once per instance
         and shared: callers must not modify it."""
         # cached by hand: functools.cached_property takes a lock on first
-        # use before Python 3.12, which every fresh decider cover pays
+        # use before Python 3.12, which every fresh cover would pay
         cached = self.__dict__.get("_conflicts")
         if cached is not None:
             return cached

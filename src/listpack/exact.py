@@ -28,12 +28,23 @@ subtree, and a full assignment is left with exactly the vertices that
 _hall_peels leaves, so the same assignments are searched in the same
 order.  Both deciders enumerate in loops, not by recursion.  Budgets
 count search nodes only.
+
+The deciders build no cover and no Packing per candidate: each keeps
+one set of slot-conflict maps and updates it in place as it moves to
+the next candidate, and hands it to _search, the loop behind
+find_packing.  The list decider rewrites the maps of the edges from v
+down whenever a prefix that survives its peel fixes L(v), and the
+correspondence decider those of the edge its odometer turns.  At each
+searched candidate the maps equal the ones CorrespondenceCover.conflicts
+builds for it (list_to_cover's for an assignment), so the search, its
+node counts and the witnesses are those of find_packing on each cover;
+both kinds of cover are valid by construction, so none is checked.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .core import (  # noqa: F401 - degeneracy_order is re-exported
     CorrespondenceCover,
@@ -47,6 +58,10 @@ from .core import (  # noqa: F401 - degeneracy_order is re-exported
 )
 
 DEFAULT_BUDGET = 10**8
+
+#: slot-conflict maps shaped like CorrespondenceCover.conflicts
+_Conflicts = Sequence[Mapping[int, Mapping[int, int]]]
+_W = TypeVar("_W")
 
 
 class BudgetExceeded(Exception):
@@ -90,13 +105,24 @@ def find_packing(
     nodes.  The identity is also the first column the search would try
     at that vertex, which has no earlier neighbours, so the packing
     returned is the first in search order, as without the fixing.  The
-    search is one loop that keeps its backtracking state in per-vertex
-    arrays, so no n or k is too large for the Python stack.  A malformed
-    cover raises ValueError (see CorrespondenceCover.conflicts).
+    search (_search) is one loop that keeps its backtracking state in
+    per-vertex arrays, so no n or k is too large for the Python stack.
+    A malformed cover raises ValueError (see
+    CorrespondenceCover.conflicts).
     """
-    g, k = cover.graph, cover.k
+    columns = _search(cover.graph, cover.k, cover.conflicts, budget)
+    return None if columns is None else Packing.from_columns("cover", cover.k, columns)
+
+
+def _search(
+    g: Graph, k: int, conflicts: _Conflicts, budget
+) -> Optional[list[list[int]]]:
+    """find_packing on slot-conflict maps shaped like
+    CorrespondenceCover.conflicts and built for this k >= 1: the
+    columns of the packing (columns[v][i] is the slot of v in colouring
+    i), or None.  The deciders call it on maps they keep up to date
+    themselves, so no cover or Packing is built per candidate."""
     n, order, earlier = g.n, g.peel[0], g.earlier
-    conflicts = cover.conflicts
     b = _as_budget(budget)
     full = (1 << k) - 1
     # col[:i] = columns[v][:i] is a partial column of v = order[idx] using
@@ -109,15 +135,14 @@ def find_packing(
     while True:
         if i < 0:
             if idx == n:
-                return Packing.from_columns("cover", k, columns)
+                return columns
             v = order[idx]
             col = columns[v] = [0] * k
             free = frees[idx] = [0] * k
             bar = bars[idx] = barred_slots(k, conflicts[v], earlier[v], columns)
             if not idx:  # order[0] takes only the identity column (see above)
                 bar[:] = (full ^ 1 << j for j in range(k))
-            # one budget unit per partial column, the empty one included;
-            # k >= 1, as building the conflict maps checked
+            # one budget unit per partial column, the empty one included
             b.spend()
             i, used = 0, 0
             free[0] = full & ~bar[0]
@@ -285,28 +310,41 @@ def _list_options(m: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 def _canonical_assignments(
     n: int, k: int, nbrs: Optional[Sequence[Iterable[int]]] = None
-) -> Iterator[ListAssignment]:
-    """canonical_list_assignments(n, k); given the graph's neighbour
-    sets nbrs, only the assignments that _hall_peels does not certify.
+) -> Iterator[tuple[list[tuple[int, ...]], Optional[_Conflicts]]]:
+    """canonical_list_assignments(n, k) as (lists, conflicts) pairs;
+    given the graph's neighbour sets nbrs, only the assignments that
+    _hall_peels does not certify, each with the slot-conflict maps of
+    its list-cover (list_to_cover(g, a).conflicts), and conflicts None
+    without nbrs.  Both are shared and updated in place, so a caller
+    must read them before it resumes the loop.
 
     One loop over the vertices 0..n-1 keeps per depth v the options v
     has still to try, the colours used before it and, with nbrs, the
     bitmask of the vertices that the peel of the prefix 0..v-1 leaves.
-    A prefix that peels to nothing is not extended.
+    A prefix that peels to nothing is not extended.  When a prefix
+    0..v survives its peel, the maps of each edge from v to a u < v are
+    rewritten from L(u) and L(v) (an edge whose lists share no colour
+    gets none).  At a full assignment every edge's maps were last
+    written when its higher end took its list, after its lower end
+    took its own, so they are the list-cover's; as a list-cover is
+    valid by construction, no check is needed.
     """
     lists: list[tuple[int, ...]] = [()] * n
     masks = [0] * n
     used = [0] * (n + 1)  # used[v]: the colours 0..m-1 of the prefix 0..v-1
     options: list = [None] * n
     alive = [0] * (n + 1)
+    conflicts = None
     if nbrs is not None:
+        below = [[u for u in nbrs[v] if u < v] for v in range(n)]
+        conflicts = [{} for _ in range(n)]
         alive[0] = _peel(nbrs, masks, k, 0, (1 << n) - 1, list(range(n)))
         if not alive[0]:
             return
     v = 0
     while v >= 0:
         if v == n:
-            yield ListAssignment(lists=tuple(lists))
+            yield lists, conflicts
             v -= 1
             continue
         if options[v] is None:
@@ -316,13 +354,26 @@ def _canonical_assignments(
             options[v] = None
             v -= 1
             continue
-        lists[v], used[v + 1] = option
+        lst, used[v + 1] = option
+        lists[v] = lst
         if nbrs is not None:
-            masks[v] = sum(1 << c for c in option[0])
-            work = [v, *(u for u in nbrs[v] if u < v)]
-            live = alive[v + 1] = _peel(nbrs, masks, k, v + 1, alive[v], work)
+            mv = masks[v] = sum(1 << c for c in lst)
+            live = alive[v + 1] = _peel(nbrs, masks, k, v + 1, alive[v], [v, *below[v]])
             if not live:
                 continue  # every assignment extending this prefix packs
+            slot = {c: j for j, c in enumerate(lst)}
+            conflicts_v = conflicts[v]
+            for u in below[v]:
+                if masks[u] & mv:
+                    conflicts_v[u] = forward = {}
+                    conflicts[u][v] = back = {}
+                    for i, c in enumerate(lists[u]):
+                        if c in slot:
+                            forward[i] = j = slot[c]
+                            back[j] = i
+                else:
+                    conflicts_v.pop(u, None)
+                    conflicts[u].pop(v, None)
         v += 1
 
 
@@ -337,18 +388,25 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
     n*k, the palette needed when every vertex is private.  The
     enumeration is one loop, so no n is too large for the Python stack.
     """
-    return _canonical_assignments(n, k)
+    for lists, _ in _canonical_assignments(n, k):
+        yield ListAssignment(lists=tuple(lists))
 
 
 def _first_unpackable(
-    covers: Iterable[CorrespondenceCover], budget: Optional[int]
-) -> Optional[CorrespondenceCover]:
-    """The first cover that find_packing finds no packing for, every
-    search drawing on one shared budget; None when all of them pack."""
+    g: Graph,
+    k: int,
+    candidates: Iterable[tuple[_W, _Conflicts]],
+    budget: Optional[int],
+) -> Optional[_W]:
+    """The witness of the first (witness, conflicts) candidate whose
+    conflict maps _search finds no packing for, every search drawing on
+    one shared budget; None when all of them pack.  The maps are read
+    before the next candidate is drawn, so a generator may update one
+    set of them in place."""
     b = _Budget(budget)
-    for cover in covers:
-        if find_packing(cover, budget=b) is None:
-            return cover
+    for witness, conflicts in candidates:
+        if _search(g, k, conflicts, b) is None:
+            return witness
     return None
 
 
@@ -359,9 +417,10 @@ def decide_chi_star_list(
     canonical assignment packs (certifying chi*_ell(g) <= k).
 
     An assignment that _hall_peels certifies packs by Hall's theorem
-    and is skipped; every other one is searched by find_packing on its
-    list-cover.  Skipping packable assignments keeps the first
-    unpackable one, so the witness is the one an unfiltered loop finds.
+    and is skipped; every other one is searched by find_packing's
+    search on its list-cover's conflict maps.  Skipping packable
+    assignments keeps the first unpackable one, so the witness is the
+    one an unfiltered loop finds.
 
     The peel runs on each prefix of the enumeration, once, as its last
     list is fixed (_canonical_assignments), starting from the vertices its
@@ -376,15 +435,18 @@ def decide_chi_star_list(
     exactly those _hall_peels leaves.  So the searched assignments,
     their order and the witness are those of the filter above.  With no
     list fixed the peel deletes exactly the k/2-core, so when 2d <= k
-    for the degeneracy d the answer is None without enumerating.  The
-    budget counts search nodes only, so it may decide where searching
-    every assignment would exhaust it.
+    for the degeneracy d the answer is None without enumerating.
+
+    No cover is built: the enumeration keeps one slot-conflict map per
+    vertex and rewrites those of the edges from v down as a surviving
+    prefix fixes L(v), so the maps searched at each assignment are
+    exactly list_to_cover(g, a).conflicts, and a ListAssignment is
+    built only for the witness.  The budget counts search nodes only,
+    so it may decide where searching every assignment would exhaust it.
     """
-    covers = (
-        list_to_cover(g, a) for a in _canonical_assignments(g.n, k, g.neighbours())
-    )
-    witness = _first_unpackable(covers, budget)
-    return None if witness is None else witness.lists
+    candidates = _canonical_assignments(g.n, k, g.neighbours())
+    found = _first_unpackable(g, k, candidates, budget)
+    return None if found is None else ListAssignment(lists=tuple(found))
 
 
 def _cycle_type_representatives(k: int) -> Iterator[tuple[int, ...]]:
@@ -461,23 +523,37 @@ def decide_chi_star_corr(
     The covers come lazily, in lexicographic order of their matchings
     along the sorted edges, from one odometer loop with no table of the
     k! permutations, so a large k spends budget, not memory, and no
-    number of edges is too large for the Python stack.
+    number of edges is too large for the Python stack.  The search runs
+    on one set of slot-conflict maps that the odometer keeps: a turned
+    edge (u, v) taking permutation p gets conflicts[v][u] = {i: p[i]}
+    and conflicts[u][v] its inverse, exactly the maps
+    CorrespondenceCover.conflicts builds from the matching
+    tuple(enumerate(p)), and the forest edges share the identity.
+    Every matching is a permutation of range(k), so the covers are
+    valid by construction and a CorrespondenceCover is built only for
+    the witness; a k below 1 raises ValueError.
     """
     edges = sorted(g.edges)
     if not edges:
         # No edges: every cover packs (slot i to colouring i everywhere).
         return None
+    if k < 1:
+        raise ValueError(f"fold k={k} must be positive")
     free = _non_forest_edges(g.n, edges)
-    matchings = dict.fromkeys(edges, tuple((i, i) for i in range(k)))
+    identity = {i: i for i in range(k)}
+    matchings = dict.fromkeys(edges, tuple(identity.items()))
+    conflicts: list[dict[int, dict[int, int]]] = [{} for _ in range(g.n)]
+    for u, v in edges:
+        conflicts[u][v] = conflicts[v][u] = identity
 
-    def covers() -> Iterator[CorrespondenceCover]:
+    def covers():
         # an odometer over the non-forest edges, the last turning fastest;
         # perms[j] holds the permutations edge j has still to take
         perms: list = [None] * len(free)
         j = 0
         while j >= 0:
             if j == len(free):
-                yield CorrespondenceCover(graph=g, k=k, matchings=dict(matchings))
+                yield matchings, conflicts
                 j -= 1
                 continue
             if perms[j] is None:
@@ -489,7 +565,13 @@ def decide_chi_star_corr(
                 perms[j] = None
                 j -= 1
             else:
-                matchings[free[j]] = tuple(enumerate(p))
+                u, v = free[j]
+                matchings[u, v] = tuple(enumerate(p))
+                conflicts[v][u] = dict(enumerate(p))
+                conflicts[u][v] = dict(zip(p, range(k)))
                 j += 1
 
-    return _first_unpackable(covers(), budget)
+    found = _first_unpackable(g, k, covers(), budget)
+    if found is None:
+        return None
+    return CorrespondenceCover(graph=g, k=k, matchings=dict(found))

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -400,11 +401,12 @@ def test_decide_chi_star_list_searched_counts_are_pinned(monkeypatch):
     # C5 at k = 3, 15,433 of 507,622
     searched = []
 
-    def counting(cover, budget=None):
-        searched.append(cover)
-        return find_packing(cover, budget=budget)
+    def counting(g, k, conflicts, budget):
+        searched.append(None)
+        return search(g, k, conflicts, budget)
 
-    monkeypatch.setattr(exact, "find_packing", counting)
+    search = exact._search
+    monkeypatch.setattr(exact, "_search", counting)
     cases = (("P4", 3, 0), ("K3", 5, 0), ("C4", 3, 925), ("C5", 3, 15433))
     for name, k, count in cases:
         searched.clear()
@@ -421,23 +423,28 @@ def test_decide_chi_star_list_matches_unfiltered_loop(name):
     # one, and with it the witness, is the unfiltered loop's
     g = small_graph(name)
     for k in (1, 2, 3):
-        covers = (list_to_cover(g, a) for a in canonical_list_assignments(g.n, k))
-        first = _first_unpackable(covers, None)
-        expected = None if first is None else first.lists
-        assert decide_chi_star_list(g, k) == expected, (name, k)
+        candidates = (
+            (a, list_to_cover(g, a).conflicts)
+            for a in canonical_list_assignments(g.n, k)
+        )
+        first = _first_unpackable(g, k, candidates, None)
+        assert decide_chi_star_list(g, k) == first, (name, k)
 
 
 @pytest.mark.parametrize("name", ["C4", "K4", "paw", "diamond"])
 def test_decide_chi_star_list_searches_what_the_full_peel_leaves(monkeypatch, name):
-    # the prefix peel skips whole subtrees, but the covers searched are,
-    # in order, those of the filter that peels each full assignment
+    # the prefix peel skips whole subtrees, but the conflict maps
+    # searched are, in order, the list-covers' of the filter that peels
+    # each full assignment; the decider updates one set of maps in
+    # place, so each is copied as it is searched
     searched = []
 
-    def counting(cover, budget=None):
-        searched.append(cover.lists)
-        return find_packing(cover, budget=budget)
+    def counting(g, k, conflicts, budget):
+        searched.append(copy.deepcopy(conflicts))
+        return search(g, k, conflicts, budget)
 
-    monkeypatch.setattr(exact, "find_packing", counting)
+    search = exact._search
+    monkeypatch.setattr(exact, "_search", counting)
     g = small_graph(name)
     nbrs = g.neighbours()
     for k in (2, 3):
@@ -446,12 +453,14 @@ def test_decide_chi_star_list_searches_what_the_full_peel_leaves(monkeypatch, na
             for a in canonical_list_assignments(g.n, k)
             if not _hall_peels(nbrs, a.lists, k)
         ]
+        maps = [list(list_to_cover(g, a).conflicts) for a in reference]
         searched.clear()
         witness = decide_chi_star_list(g, k)
         if witness is None:
-            assert searched == reference, (name, k)
+            assert searched == maps, (name, k)
         else:  # the search stops at the witness
-            assert searched == reference[: len(searched)] and searched[-1] == witness
+            assert searched == maps[: len(searched)], (name, k)
+            assert reference[len(searched) - 1] == witness, (name, k)
 
 
 @pytest.mark.parametrize("name", list(SMALL_GRAPHS))
@@ -663,11 +672,12 @@ def test_decide_chi_star_corr_cover_counts_are_pinned(monkeypatch):
     # other edge: C4 and P5 at k = 4 check 5 and 1 covers, K4 5 * 24**2
     searched = []
 
-    def counting(cover, budget=None):
-        searched.append(cover)
-        return find_packing(cover, budget=budget)
+    def counting(g, k, conflicts, budget):
+        searched.append(None)
+        return search(g, k, conflicts, budget)
 
-    monkeypatch.setattr(exact, "find_packing", counting)
+    search = exact._search
+    monkeypatch.setattr(exact, "_search", counting)
     cases = [
         (Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 4, 5),
         (Graph.from_edges(5, [(i, i + 1) for i in range(4)]), 4, 1),
@@ -677,6 +687,38 @@ def test_decide_chi_star_corr_cover_counts_are_pinned(monkeypatch):
         searched.clear()
         assert decide_chi_star_corr(g, k) is None
         assert len(searched) == count
+
+
+@pytest.mark.parametrize("name, k", [("C4", 3), ("K4", 3), ("K4", 4)])
+def test_decide_chi_star_corr_searches_the_maps_of_its_covers(monkeypatch, name, k):
+    # the odometer updates one set of maps in place; at each cover, in
+    # order, they are the maps CorrespondenceCover.conflicts builds from
+    # its matchings: the forest on the identity, the first other edge
+    # on one permutation per cycle type, the rest on every permutation
+    searched = []
+
+    def counting(g, k, conflicts, budget):
+        searched.append(copy.deepcopy(conflicts))
+        return search(g, k, conflicts, budget)
+
+    search = exact._search
+    monkeypatch.setattr(exact, "_search", counting)
+    g = small_graph(name)
+    edges = sorted(g.edges)
+    free = exact._non_forest_edges(g.n, edges)
+    covers = []
+    for first in _cycle_type_representatives(k):
+        for rest in product(permutations(range(k)), repeat=len(free) - 1):
+            matchings = dict.fromkeys(edges, tuple((i, i) for i in range(k)))
+            for e, p in zip(free, (first, *rest)):
+                matchings[e] = tuple(enumerate(p))
+            covers.append(CorrespondenceCover(graph=g, k=k, matchings=matchings))
+    witness = decide_chi_star_corr(g, k)
+    assert searched == [list(c.conflicts) for c in covers[: len(searched)]]
+    if witness is None:
+        assert len(searched) == len(covers)
+    else:  # the search stops at the witness
+        assert witness.matchings == covers[len(searched) - 1].matchings
 
 
 def test_decide_chi_star_corr_edge_at_k600():
@@ -737,6 +779,24 @@ def test_chi_star_budget_propagates():
         decide_chi_star_list(g, 2, budget=5)
     with pytest.raises(BudgetExceeded):
         decide_chi_star_corr(g, 2, budget=5)
+
+
+def test_decider_budgets_are_pinned():
+    # the budget counts search nodes only, across every search a decider
+    # runs; these boundaries were measured while each searched
+    # assignment and cover got its own cover object
+    c4 = small_graph("C4")
+    witness = ListAssignment(((0, 1), (0, 1), (0, 2), (1, 2)))
+    cases = [
+        (decide_chi_star_list, 3, 15371, None),
+        (decide_chi_star_list, 2, 72, witness),
+        (decide_chi_star_corr, 4, 116, None),
+    ]
+    for decide, k, nodes, want in cases:
+        assert decide(c4, k, budget=nodes) == want, (decide.__name__, k)
+        with pytest.raises(BudgetExceeded) as caught:
+            decide(c4, k, budget=nodes - 1)
+        assert caught.value.nodes == nodes, (decide.__name__, k)
 
 
 @pytest.mark.parametrize(
