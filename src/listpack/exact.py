@@ -184,16 +184,24 @@ def find_independent_transversal(
     cover: CorrespondenceCover,
     allowed: Sequence[int],
     budget: Optional[int] = None,
+    prefer: Optional[Sequence[int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """One slot per vertex, a bit of the slot mask allowed[v], no matched
     pair chosen: the loop of find_packing for a single colouring, with
-    one position per vertex.  It tries each vertex's allowed slots
-    lowest first, one budget unit per slot tried.  A malformed cover,
-    len(allowed) != n, or a mask that is negative or has a bit at k or
-    above raises ValueError."""
+    one position per vertex.  It tries each vertex's allowed slots in
+    prefer[v] first, lowest first, then its other allowed slots, lowest
+    first (with no prefer, all of them lowest first), one budget unit
+    per slot tried.  The order changes only which transversal is found:
+    the search stays complete.  A malformed cover, len(allowed) != n,
+    len(prefer) != n, or an allowed mask that is negative or has a bit
+    at k or above raises ValueError; bits of prefer[v] outside
+    allowed[v] are ignored."""
     g, k = cover.graph, cover.k
-    if len(allowed) != g.n:
-        raise ValueError(f"allowed has {len(allowed)} entries for {g.n} vertices")
+    if prefer is None:
+        prefer = [0] * g.n
+    for name, masks in (("allowed", allowed), ("prefer", prefer)):
+        if len(masks) != g.n:
+            raise ValueError(f"{name} has {len(masks)} entries for {g.n} vertices")
     for v, mask in enumerate(allowed):
         if mask < 0 or mask >> k:
             raise ValueError(f"allowed[{v}] contains a slot outside 0..{k - 1}")
@@ -221,7 +229,8 @@ def find_independent_transversal(
             forbidden[idx] = barred
             avail = allowed[v]
         if avail:
-            low = avail & -avail
+            first = avail & prefer[v] or avail
+            low = first & -first
             untried[idx] = avail ^ low
             b.spend()
             if not forbidden[idx] & low:

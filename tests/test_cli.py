@@ -372,10 +372,34 @@ def test_pack_bad_max_rounds_and_max_resamples_are_64(tmp_path, capsys):
     assert code in (0, 1) and record(out)["method"] == "bip-lll"
 
 
+#: a 5-fold cover of K4 (edge -> permutation of the slots) on which
+#: pack_augment with chi_c_bound 1 meets a round with no independent
+#: transversal: the first such cover among random perfect covers drawn
+#: from random.Random(0) (shuffling range(5) once per edge, in order)
+K4_NO_TRANSVERSAL = {
+    (0, 1): [4, 0, 3, 2, 1],
+    (0, 2): [2, 3, 4, 1, 0],
+    (0, 3): [0, 2, 3, 1, 4],
+    (1, 2): [4, 3, 0, 2, 1],
+    (1, 3): [0, 4, 1, 2, 3],
+    (2, 3): [1, 3, 4, 0, 2],
+}
+
+
 def test_pack_too_small_chi_c_bound_is_65(tmp_path, capsys):
+    # chi_c(K4) = 4, so a bound of 1 voids pack_augment's guarantee: the
+    # identity cover still packs, but the cover above does not
+    argv = ["--method", "augment", "--chi-c-bound", "1"]
     k4 = clique_cover(tmp_path, 4, 5)
-    argv = ["pack", k4, "--method", "augment", "--chi-c-bound", "1"]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, "pack", k4, *argv)
+    assert code == 0 and err == ""
+    cover = instance_from_obj(json.loads(Path(k4).read_text()))
+    assert validate_packing(cover, packing_from_obj(record(out)["packing"])) is None
+    path = tmp_path / "k4-stuck.json"
+    matchings = {f"{u}-{v}": list(enumerate(p)) for (u, v), p in K4_NO_TRANSVERSAL.items()}
+    obj = {"n": 4, "edges": list(K4_NO_TRANSVERSAL), "k": 5, "matchings": matchings}
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "pack", str(path), *argv)
     assert code == 65 and out == ""
     assert err.count("\n") == 1 and err.startswith("--chi-c-bound 1")
 

@@ -208,6 +208,10 @@ def test_independent_transversal_needs_one_entry_per_vertex():
     for entries in (2, 4):
         with pytest.raises(ValueError, match=f"allowed has {entries} entries for 3 vertices"):
             find_independent_transversal(cover, [0b11] * entries)
+        with pytest.raises(ValueError, match=f"prefer has {entries} entries for 3 vertices"):
+            find_independent_transversal(cover, [0b11] * 3, prefer=[0b10] * entries)
+    # preferring slot 1 everywhere flips the transversal
+    assert find_independent_transversal(cover, [0b11] * 3, prefer=[0b10] * 3) == (1, 0, 1)
 
 
 def test_independent_transversal_node_counts_are_pinned():
@@ -244,15 +248,19 @@ def test_searches_run_past_the_recursion_limit():
 
 
 def test_independent_transversal_matches_brute_force():
+    # the search places vertices in degeneracy order and tries each
+    # vertex's preferred allowed slots lowest first, then the rest lowest
+    # first, so it must return the first independent choice in that order
     rng = random.Random(99)
-    for _ in range(40):
+    for _ in range(80):
         cover = random_cover(rng, rng.randint(1, 4), 3)
         g, k = cover.graph, cover.k
         slots = [
             rng.sample(range(k), rng.randint(1, k)) for _ in range(g.n)
         ]
         allowed = [sum(1 << s for s in vs) for vs in slots]
-        found = find_independent_transversal(cover, allowed)
+        # bits outside allowed[v] are ignored
+        prefer = [rng.randrange(1 << k) for _ in range(g.n)]
         conf = {}
         for (u, v), pairs in cover.matchings.items():
             conf[(u, v)] = set(pairs)
@@ -263,13 +271,22 @@ def test_independent_transversal_matches_brute_force():
                     return False
             return True
 
-        exists = any(
-            independent(choice) for choice in product(*slots)
-        )
-        assert (found is not None) == exists
-        if found is not None:
-            assert independent(found)
-            assert all(found[v] in slots[v] for v in range(g.n))
+        order = g.peel[0]
+        for masks in (None, [0] * g.n, prefer):
+            ranked = [
+                sorted(slots[v], key=lambda s: (not masks or not masks[v] >> s & 1, s))
+                for v in order
+            ]
+            first = None
+            for placed in product(*ranked):
+                choice = [0] * g.n
+                for v, s in zip(order, placed):
+                    choice[v] = s
+                if independent(choice):
+                    first = tuple(choice)
+                    break
+            found = find_independent_transversal(cover, allowed, prefer=masks)
+            assert found == first, masks
 
 
 def canonical_form(lists):
