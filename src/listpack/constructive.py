@@ -232,19 +232,21 @@ def pack_augment(
 
     chi_c_bound must be a valid upper bound on the correspondence
     chromatic number of the graph; the default 1 + degeneracy always is.
-    While some slot is uncoloured, a colour missing from its part is
-    pushed onto an independent transversal of carefully restricted slot
-    sets, displaced colours are shifted, and the number of coloured slots
-    strictly grows, so there are at most n*k rounds; a round that gains
-    none raises PackingError.  A slot is gained wherever red is missing
-    and the transversal lands on an empty slot, so the search tries the
-    empty slots of those vertices first: any transversal in the allowed
-    sets is a valid round, and n*k stays the proven bound, but in
-    practice one round fills red almost everywhere it is missing (8
-    rounds on a 1,500-vertex path with a random 5-fold cover, where
-    taking the lowest allowed slot took 4,502).  Each part keeps a
-    colour -> slot map and the allowed and empty slots are bitmasks, so
-    a round costs O(n + m) mask bookkeeping, O(k) to find red, and one
+    While some slot is uncoloured, a colour red missing at the first
+    vertex v1 with an empty slot is pushed onto an independent
+    transversal of carefully restricted slot sets (at v1 only its lowest
+    empty slot), displaced colours are shifted, and the number of
+    coloured slots strictly grows, so there are at most n*k rounds; a
+    round that gains none raises PackingError.  A slot is gained
+    wherever red is missing and the transversal lands on an empty slot,
+    so the search tries the empty slots of those vertices first: any
+    transversal in the allowed sets is a valid round, and n*k stays the
+    proven bound, but in practice one round fills red almost everywhere
+    it is missing (8 rounds on a 1,500-vertex path with a random 5-fold
+    cover, where taking the lowest allowed slot took 4,502).  Each
+    vertex keeps its column in the form of Packing.from_columns (the
+    slot of each colouring, None while it is missing) and its empty
+    slots as a bitmask, so a round costs O(k(n + m)) bookkeeping and one
     find_independent_transversal.  on_round, if given, receives the
     running coloured-slot count after every round, ending at n*k.  A
     malformed cover raises ValueError.
@@ -259,34 +261,37 @@ def pack_augment(
             f" got k = {k}"
         )
     conflicts = cover.conflicts
-    every = range(k)
     full = (1 << k) - 1
-    colour: list[list[Optional[int]]] = [[None] * k for _ in range(g.n)]
-    slot_of: list[dict[int, int]] = [{} for _ in range(g.n)]  # colour -> slot
-    empty = [full] * g.n  # slot masks of the uncoloured slots
+    # columns[v][i]: the slot of colouring i at v, None while i is missing
+    columns: list[list[Optional[int]]] = [[None] * k for _ in range(g.n)]
+    # empty[v]: v's uncoloured slots as a mask, kept in step with columns
+    # rather than rebuilt, as every round reads them: for prefer, and to
+    # tell in O(1) whether a slot holds a colour
+    empty = [full] * g.n
     coloured = v1 = 0
     while coloured < g.n * k:
         # full parts stay full, so v1 only moves forward
         while not empty[v1]:
             v1 += 1
         x = (empty[v1] & -empty[v1]).bit_length() - 1
-        red = next(c for c in every if c not in slot_of[v1])
+        red = columns[v1].index(None)
 
         # v may not take a slot holding a colour that a neighbour keeps
-        # in the slot matched to v's red slot, nor the slot matched to x;
-        # where red is missing, the search tries the empty slots first,
-        # as red gains a slot only there
+        # in the slot matched to v's red slot, nor the slot matched to x,
+        # which v1 takes: no transversal could use that slot, and barring
+        # it here, not at v1, keeps the search from backtracking into v1
+        # (where it can spend its whole budget); where red is missing, the
+        # search tries the empty slots first, as red gains a slot only there
         allowed: list[int] = []  # slot masks
         prefer: list[int] = []
-        for v in range(g.n):
-            where = slot_of[v]
-            r = where.get(red)
+        for v, col in enumerate(columns):
+            r = col[red]
             bad = 0
             if r is not None:
                 for u in conflicts[v]:
                     j = conflicts[u][v].get(r)
-                    if j is not None:
-                        y = where.get(colour[u][j])
+                    if j is not None and j in columns[u]:
+                        y = col[columns[u].index(j)]
                         if y is not None:
                             bad |= 1 << y
             j = conflicts[v].get(v1, {}).get(x)
@@ -294,39 +299,27 @@ def pack_augment(
                 bad |= 1 << j
             allowed.append(full & ~bad)
             prefer.append(empty[v] if r is None else 0)
+        allowed[v1] = 1 << x
 
         transversal = find_independent_transversal(cover, allowed, prefer=prefer)
         if transversal is None:
-            raise PackingError(
-                "no independent transversal; chi_c_bound is too small"
-            )
-        t = list(transversal)
-        t[v1] = x
+            raise PackingError("no independent transversal; chi_c_bound is too small")
 
-        # swap red into slot t[v]; a slot is gained where both were empty
+        # swap red into slot y and the colour there into red's old slot r
         gained = 0
-        for v, y in enumerate(t):
-            part, where = colour[v], slot_of[v]
-            old, r = part[y], where.get(red)
-            part[y] = red
-            where[red] = y
-            if r is None:
-                if old is None:
-                    gained += 1
-                    empty[v] ^= 1 << y
-                else:
-                    del where[old]
-            elif r != y:
-                part[r] = old
-                if old is not None:
-                    where[old] = r
-                else:
-                    empty[v] ^= 1 << y | 1 << r
+        for v, y in enumerate(transversal):
+            col = columns[v]
+            old = None if empty[v] >> y & 1 else col.index(y)
+            r, col[red] = col[red], y
+            if old is None:  # y fills, and red's old slot r, if any, empties
+                gained += r is None
+                empty[v] ^= 1 << y if r is None else 1 << y | 1 << r
+            elif old != red:
+                col[old] = r
         if not gained:
             raise PackingError("augmentation failed to make progress")
         coloured += gained
         if on_round is not None:
             on_round(coloured)
 
-    columns = [[where[i] for i in every] for where in slot_of]
     return _checked(cover, Packing.from_columns("cover", k, columns))

@@ -85,10 +85,6 @@ class _Budget:
             raise BudgetExceeded(self.limit - self.remaining)
 
 
-def _as_budget(budget) -> _Budget:
-    return budget if isinstance(budget, _Budget) else _Budget(budget)
-
-
 def find_packing(
     cover: CorrespondenceCover, budget: Optional[int] = None
 ) -> Optional[Packing]:
@@ -110,20 +106,20 @@ def find_packing(
     A malformed cover raises ValueError (see
     CorrespondenceCover.conflicts).
     """
-    columns = _search(cover.graph, cover.k, cover.conflicts, budget)
+    columns = _search(cover.graph, cover.k, cover.conflicts, _Budget(budget))
     return None if columns is None else Packing.from_columns("cover", cover.k, columns)
 
 
 def _search(
-    g: Graph, k: int, conflicts: _Conflicts, budget
+    g: Graph, k: int, conflicts: _Conflicts, b: _Budget
 ) -> Optional[list[list[int]]]:
     """find_packing on slot-conflict maps shaped like
     CorrespondenceCover.conflicts and built for this k >= 1: the
     columns of the packing (columns[v][i] is the slot of v in colouring
-    i), or None.  The deciders call it on maps they keep up to date
+    i), or None.  Every node is spent from b, which the deciders share
+    across their searches.  They call it on maps they keep up to date
     themselves, so no cover or Packing is built per candidate."""
     n, order, earlier = g.n, g.peel[0], g.earlier
-    b = _as_budget(budget)
     full = (1 << k) - 1
     # col[:i] = columns[v][:i] is a partial column of v = order[idx] using
     # the slots in `used`; free[i] holds the slots colouring i has still
@@ -207,7 +203,7 @@ def find_independent_transversal(
             raise ValueError(f"allowed[{v}] contains a slot outside 0..{k - 1}")
     n, order, earlier = g.n, g.peel[0], g.earlier
     conflicts = cover.conflicts
-    b = _as_budget(budget)
+    b = _Budget(budget)
     chosen = [0] * n  # the slot of each vertex already placed
     # untried[idx]: the allowed slots of order[idx] still to try, -1 until
     # it is entered; forbidden[idx]: those matched to an earlier choice
@@ -540,7 +536,7 @@ def decide_chi_star_corr(
     tuple(enumerate(p)), and the forest edges share the identity.
     Every matching is a permutation of range(k), so the covers are
     valid by construction and a CorrespondenceCover is built only for
-    the witness; a k below 1 raises ValueError.
+    the witness, from its maps; a k below 1 raises ValueError.
     """
     edges = sorted(g.edges)
     if not edges:
@@ -550,7 +546,6 @@ def decide_chi_star_corr(
         raise ValueError(f"fold k={k} must be positive")
     free = _non_forest_edges(g.n, edges)
     identity = {i: i for i in range(k)}
-    matchings = dict.fromkeys(edges, tuple(identity.items()))
     conflicts: list[dict[int, dict[int, int]]] = [{} for _ in range(g.n)]
     for u, v in edges:
         conflicts[u][v] = conflicts[v][u] = identity
@@ -562,7 +557,7 @@ def decide_chi_star_corr(
         j = 0
         while j >= 0:
             if j == len(free):
-                yield matchings, conflicts
+                yield conflicts, conflicts  # the maps are their own witness
                 j -= 1
                 continue
             if perms[j] is None:
@@ -575,7 +570,6 @@ def decide_chi_star_corr(
                 j -= 1
             else:
                 u, v = free[j]
-                matchings[u, v] = tuple(enumerate(p))
                 conflicts[v][u] = dict(enumerate(p))
                 conflicts[u][v] = dict(zip(p, range(k)))
                 j += 1
@@ -583,4 +577,5 @@ def decide_chi_star_corr(
     found = _first_unpackable(g, k, covers(), budget)
     if found is None:
         return None
-    return CorrespondenceCover(graph=g, k=k, matchings=dict(found))
+    matchings = {(u, v): tuple(found[v][u].items()) for u, v in edges}
+    return CorrespondenceCover(graph=g, k=k, matchings=matchings)

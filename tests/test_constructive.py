@@ -275,6 +275,22 @@ def test_augment_sweep_over_partial_and_perfect_covers():
         assert progress[-1] == g.n * k
 
 
+@pytest.mark.parametrize("seed", [1107, 4079])
+def test_augment_moves_red_from_a_coloured_slot_to_an_empty_one(seed):
+    # these covers (n = 11, k = 6 and n = 18, k = 9) have rounds whose
+    # transversal moves red from a coloured slot to an empty one at some
+    # vertex, emptying the first; were that slot left marked coloured,
+    # the rounds would stall or the packing would not validate
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(3, 40), rng.uniform(0.05, 0.5))
+    chi = rng.randint(1, 2)
+    cover = random_full_cover(rng, g, 1 + g.max_degree() + chi)
+    progress = []
+    p = pack_augment(cover, chi_c_bound=chi, on_round=progress.append)
+    assert validate_packing(cover, p) is None
+    assert progress[-1] == g.n * cover.k
+
+
 # ---------------------------------------------------------------------------
 # outputs pinned across rewrites of the conflict maps
 # ---------------------------------------------------------------------------
