@@ -26,8 +26,8 @@ fixpoint and a prefix's deletions are made by the peel of each of its
 completions; a prefix that peels to nothing certifies its whole
 subtree, and a full assignment is left with exactly the vertices that
 _hall_peels leaves, so the same assignments are searched in the same
-order.  Both deciders enumerate in loops, not by recursion.  Budgets
-count search nodes only.
+order.  Both deciders and canonical_list_assignments enumerate on one
+loop, _odometer, not by recursion.  Budgets count search nodes only.
 
 The deciders build no cover and no Packing per candidate: each keeps
 one set of slot-conflict maps and updates it in place as it moves to
@@ -44,7 +44,7 @@ both kinds of cover are valid by construction, so none is checked.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .core import (  # noqa: F401 - degeneracy_order is re-exported
     CorrespondenceCover,
@@ -62,6 +62,7 @@ DEFAULT_BUDGET = 10**8
 #: slot-conflict maps shaped like CorrespondenceCover.conflicts
 _Conflicts = Sequence[Mapping[int, Mapping[int, int]]]
 _W = TypeVar("_W")
+_O = TypeVar("_O")
 
 
 class BudgetExceeded(Exception):
@@ -252,7 +253,7 @@ def _peel(
 
     An alive neighbour u of v adds 1 to a and to the count of each
     colour of L(v) that L(u) has; if L(u) or L(v) is open, it adds 1 to
-    a and to b, its most.  Only the vertices in `work` and the alive
+    a and to b, its most.  Only the vertices in `work` and the
     neighbours of each deleted vertex are examined, so `work` must hold
     every alive vertex whose counts fell since `alive` was peeled.
     """
@@ -275,7 +276,7 @@ def _peel(
                         levels.append(m)
         if ab + len(levels) <= k:  # a + b <= k
             alive ^= 1 << v
-            work.extend(u for u in nbrs[v] if alive >> u & 1)
+            work.extend(nbrs[v])
     return alive
 
 
@@ -313,73 +314,34 @@ def _list_options(m: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
             yield old + fresh, m + t
 
 
-def _canonical_assignments(
-    n: int, k: int, nbrs: Optional[Sequence[Iterable[int]]] = None
-) -> Iterator[tuple[list[tuple[int, ...]], Optional[_Conflicts]]]:
-    """canonical_list_assignments(n, k) as (lists, conflicts) pairs;
-    given the graph's neighbour sets nbrs, only the assignments that
-    _hall_peels does not certify, each with the slot-conflict maps of
-    its list-cover (list_to_cover(g, a).conflicts), and conflicts None
-    without nbrs.  Both are shared and updated in place, so a caller
-    must read them before it resumes the loop.
-
-    One loop over the vertices 0..n-1 keeps per depth v the options v
-    has still to try, the colours used before it and, with nbrs, the
-    bitmask of the vertices that the peel of the prefix 0..v-1 leaves.
-    A prefix that peels to nothing is not extended.  When a prefix
-    0..v survives its peel, the maps of each edge from v to a u < v are
-    rewritten from L(u) and L(v) (an edge whose lists share no colour
-    gets none).  At a full assignment every edge's maps were last
-    written when its higher end took its list, after its lower end
-    took its own, so they are the list-cover's; as a list-cover is
-    valid by construction, no check is needed.
-    """
-    lists: list[tuple[int, ...]] = [()] * n
-    masks = [0] * n
-    used = [0] * (n + 1)  # used[v]: the colours 0..m-1 of the prefix 0..v-1
-    options: list = [None] * n
-    alive = [0] * (n + 1)
-    conflicts = None
-    if nbrs is not None:
-        below = [[u for u in nbrs[v] if u < v] for v in range(n)]
-        conflicts = [{} for _ in range(n)]
-        alive[0] = _peel(nbrs, masks, k, 0, (1 << n) - 1, list(range(n)))
-        if not alive[0]:
-            return
-    v = 0
-    while v >= 0:
-        if v == n:
-            yield lists, conflicts
-            v -= 1
+def _odometer(
+    width: int,
+    options: Callable[[int], Iterator[_O]],
+    take: Callable[[int, _O], bool],
+) -> Iterator[None]:
+    """Every sequence of `width` options, the last position turning
+    fastest, from one loop: position j draws in turn from the iterator
+    options(j), made afresh each time j is entered, and take(j, option)
+    records the option in the caller's state; when it returns False, no
+    sequence extending that prefix is visited.  Yields once per full
+    sequence (once for width 0), and the caller reads its own state
+    before resuming.  No width is too large for the Python stack."""
+    trying: list = [None] * width
+    j = 0
+    while j >= 0:
+        if j == width:
+            yield
+            j -= 1
             continue
-        if options[v] is None:
-            options[v] = _list_options(used[v], k)
-        option = next(options[v], None)
-        if option is None:
-            options[v] = None
-            v -= 1
-            continue
-        lst, used[v + 1] = option
-        lists[v] = lst
-        if nbrs is not None:
-            mv = masks[v] = sum(1 << c for c in lst)
-            live = alive[v + 1] = _peel(nbrs, masks, k, v + 1, alive[v], [v, *below[v]])
-            if not live:
-                continue  # every assignment extending this prefix packs
-            slot = {c: j for j, c in enumerate(lst)}
-            conflicts_v = conflicts[v]
-            for u in below[v]:
-                if masks[u] & mv:
-                    conflicts_v[u] = forward = {}
-                    conflicts[u][v] = back = {}
-                    for i, c in enumerate(lists[u]):
-                        if c in slot:
-                            forward[i] = j = slot[c]
-                            back[j] = i
-                else:
-                    conflicts_v.pop(u, None)
-                    conflicts[u].pop(v, None)
-        v += 1
+        if trying[j] is None:
+            trying[j] = options(j)
+        for option in trying[j]:
+            if take(j, option):
+                j += 1
+                break
+        else:
+            trying[j] = None
+            j -= 1
 
 
 def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
@@ -391,9 +353,17 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
     colours are exactly the next unused integers.  Every assignment is a
     colour permutation of exactly one canonical one.  Colours stay below
     n*k, the palette needed when every vertex is private.  The
-    enumeration is one loop, so no n is too large for the Python stack.
+    enumeration is an _odometer over the vertices, so no n is too large
+    for the Python stack.
     """
-    for lists, _ in _canonical_assignments(n, k):
+    lists: list[tuple[int, ...]] = [()] * n
+    used = [0] * (n + 1)  # used[v]: the colours 0..m-1 of the prefix 0..v-1
+
+    def take(v: int, option: tuple[tuple[int, ...], int]) -> bool:
+        lists[v], used[v + 1] = option
+        return True
+
+    for _ in _odometer(n, lambda v: _list_options(used[v], k), take):
         yield ListAssignment(lists=tuple(lists))
 
 
@@ -427,30 +397,64 @@ def decide_chi_star_list(
     assignments keeps the first unpackable one, so the witness is the
     one an unfiltered loop finds.
 
-    The peel runs on each prefix of the enumeration, once, as its last
-    list is fixed (_canonical_assignments), starting from the vertices its
+    The enumeration is an _odometer over the vertices whose take peels
+    each prefix once, as its last list is fixed, from the vertices its
     parent prefix left.  A vertex whose list is open is counted at its
     worst (_peel): it goes when 2 * (its alive neighbours) <= k, and
     counts once in a and once in b of each listed alive neighbour; a
     fixed list can only lower those counts.  Deletion only lowers a and
     b, so the peel's fixpoint is unique, and every deletion made on a
     prefix is made by the full peel of each of its completions: if a
-    prefix peels to nothing, every assignment under it packs and the
-    subtree is skipped, and at a full assignment the vertices left are
-    exactly those _hall_peels leaves.  So the searched assignments,
+    prefix peels to nothing, every assignment under it packs and take
+    cuts the subtree off, and at a full assignment the vertices left
+    are exactly those _hall_peels leaves.  So the searched assignments,
     their order and the witness are those of the filter above.  With no
     list fixed the peel deletes exactly the k/2-core, so when 2d <= k
     for the degeneracy d the answer is None without enumerating.
 
-    No cover is built: the enumeration keeps one slot-conflict map per
-    vertex and rewrites those of the edges from v down as a surviving
-    prefix fixes L(v), so the maps searched at each assignment are
-    exactly list_to_cover(g, a).conflicts, and a ListAssignment is
-    built only for the witness.  The budget counts search nodes only,
-    so it may decide where searching every assignment would exhaust it.
+    No cover is built: take keeps one slot-conflict map per vertex and
+    rewrites those of the edges from v down as a surviving prefix fixes
+    L(v), so the maps searched at each assignment are exactly
+    list_to_cover(g, a).conflicts, and a ListAssignment is built only
+    for the witness.  The budget counts search nodes only, so it may
+    decide where searching every assignment would exhaust it.  A k below
+    1 raises ValueError.
     """
-    candidates = _canonical_assignments(g.n, k, g.neighbours())
-    found = _first_unpackable(g, k, candidates, budget)
+    if k < 1:
+        raise ValueError(f"fold k={k} must be positive")
+    n, nbrs = g.n, g.neighbours()
+    below = [[u for u in nbrs[v] if u < v] for v in range(n)]
+    lists: list[tuple[int, ...]] = [()] * n
+    masks = [0] * n
+    used = [0] * (n + 1)  # used[v]: the colours 0..m-1 of the prefix 0..v-1
+    alive = [0] * (n + 1)  # alive[v]: what the peel of the prefix 0..v-1 leaves
+    conflicts: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    alive[0] = _peel(nbrs, masks, k, 0, (1 << n) - 1, list(range(n)))
+    if not alive[0]:
+        return None
+
+    def take(v: int, option: tuple[tuple[int, ...], int]) -> bool:
+        lists[v], used[v + 1] = option
+        mv = masks[v] = sum(1 << c for c in lists[v])
+        live = alive[v + 1] = _peel(nbrs, masks, k, v + 1, alive[v], [v, *below[v]])
+        if not live:
+            return False  # every assignment extending this prefix packs
+        slot = {c: j for j, c in enumerate(lists[v])}
+        for u in below[v]:
+            if masks[u] & mv:
+                conflicts[v][u] = forward = {}
+                conflicts[u][v] = back = {}
+                for i, c in enumerate(lists[u]):
+                    if c in slot:
+                        forward[i] = j = slot[c]
+                        back[j] = i
+            else:
+                conflicts[v].pop(u, None)
+                conflicts[u].pop(v, None)
+        return True
+
+    steps = _odometer(n, lambda v: _list_options(used[v], k), take)
+    found = _first_unpackable(g, k, ((lists, conflicts) for _ in steps), budget)
     return None if found is None else ListAssignment(lists=tuple(found))
 
 
@@ -526,55 +530,41 @@ def decide_chi_star_corr(
       them needs only one permutation per cycle type.
 
     The covers come lazily, in lexicographic order of their matchings
-    along the sorted edges, from one odometer loop with no table of the
-    k! permutations, so a large k spends budget, not memory, and no
-    number of edges is too large for the Python stack.  The search runs
-    on one set of slot-conflict maps that the odometer keeps: a turned
-    edge (u, v) taking permutation p gets conflicts[v][u] = {i: p[i]}
-    and conflicts[u][v] its inverse, exactly the maps
+    along the sorted edges, from an _odometer over the non-forest edges
+    with no table of the k! permutations, so a large k spends budget,
+    not memory, and no number of edges is too large for the Python
+    stack.  The odometer's take keeps one set of slot-conflict maps: a
+    turned edge (u, v) taking permutation p gets conflicts[v][u] =
+    {i: p[i]} and conflicts[u][v] its inverse, exactly the maps
     CorrespondenceCover.conflicts builds from the matching
     tuple(enumerate(p)), and the forest edges share the identity.
     Every matching is a permutation of range(k), so the covers are
     valid by construction and a CorrespondenceCover is built only for
     the witness, from its maps; a k below 1 raises ValueError.
     """
+    if k < 1:
+        raise ValueError(f"fold k={k} must be positive")
     edges = sorted(g.edges)
     if not edges:
         # No edges: every cover packs (slot i to colouring i everywhere).
         return None
-    if k < 1:
-        raise ValueError(f"fold k={k} must be positive")
     free = _non_forest_edges(g.n, edges)
     identity = {i: i for i in range(k)}
     conflicts: list[dict[int, dict[int, int]]] = [{} for _ in range(g.n)]
     for u, v in edges:
         conflicts[u][v] = conflicts[v][u] = identity
 
-    def covers():
-        # an odometer over the non-forest edges, the last turning fastest;
-        # perms[j] holds the permutations edge j has still to take
-        perms: list = [None] * len(free)
-        j = 0
-        while j >= 0:
-            if j == len(free):
-                yield conflicts, conflicts  # the maps are their own witness
-                j -= 1
-                continue
-            if perms[j] is None:
-                perms[j] = (
-                    _cycle_type_representatives(k) if j == 0 else permutations(range(k))
-                )
-            p = next(perms[j], None)
-            if p is None:
-                perms[j] = None
-                j -= 1
-            else:
-                u, v = free[j]
-                conflicts[v][u] = dict(enumerate(p))
-                conflicts[u][v] = dict(zip(p, range(k)))
-                j += 1
+    def options(j: int) -> Iterator[tuple[int, ...]]:
+        return _cycle_type_representatives(k) if j == 0 else permutations(range(k))
 
-    found = _first_unpackable(g, k, covers(), budget)
+    def take(j: int, p: tuple[int, ...]) -> bool:
+        u, v = free[j]
+        conflicts[v][u] = dict(enumerate(p))
+        conflicts[u][v] = dict(zip(p, range(k)))
+        return True
+
+    steps = _odometer(len(free), options, take)
+    found = _first_unpackable(g, k, ((conflicts, conflicts) for _ in steps), budget)
     if found is None:
         return None
     matchings = {(u, v): tuple(found[v][u].items()) for u, v in edges}

@@ -535,6 +535,39 @@ def test_prefix_peel_keeps_every_vertex_the_full_peel_keeps():
             ), (lists, fixed)
 
 
+def test_odometer_matches_filtered_product():
+    # take returns False on a banned prefix: the sequences read at each
+    # yield are, in order, those of itertools.product with no banned
+    # prefix, and width 0 yields the empty sequence once
+    rng = random.Random(24)
+    widths = set()
+    for _ in range(400):
+        width = rng.randint(0, 5)
+        sizes = [rng.randint(0, 3) for _ in range(width)]
+        prefixes = [
+            p for m in range(1, width + 1) for p in product(*map(range, sizes[:m]))
+        ]
+        banned = set(rng.sample(prefixes, rng.randint(0, min(4, len(prefixes)))))
+        seq = [None] * width
+
+        def take(j, option):
+            seq[j] = option
+            return tuple(seq[: j + 1]) not in banned
+
+        steps = exact._odometer(width, lambda j: iter(range(sizes[j])), take)
+        got = [tuple(seq) for _ in steps]
+        want = [
+            s
+            for s in product(*map(range, sizes))
+            if not any(s[:m] in banned for m in range(1, width + 1))
+        ]
+        assert got == want, (sizes, banned)
+        widths.add(width)
+    assert widths == set(range(6))
+    # width 0 draws no option and takes none
+    assert sum(1 for _ in exact._odometer(0, None, None)) == 1
+
+
 def test_canonical_enumeration_runs_past_the_recursion_limit():
     # one loop, not one Python frame per vertex
     first = next(canonical_list_assignments(1500, 3))
@@ -673,6 +706,16 @@ def test_cycle_type_representatives_are_pinned():
     k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError, match="fold k=0 must be positive"):
         decide_chi_star_corr(k3, 0)
+    # both deciders refuse k < 1 before looking at the graph, so no None
+    # certifies a packing number of 0 or below
+    k2, edgeless = small_graph("K2"), Graph.from_edges(3, [])
+    for decide, g, k in (
+        (decide_chi_star_list, k2, 0),
+        (decide_chi_star_list, k2, -1),
+        (decide_chi_star_corr, edgeless, 0),
+    ):
+        with pytest.raises(ValueError, match=f"fold k={k} must be positive"):
+            decide(g, k)
 
 
 def test_decide_chi_star_corr_at_k1100_spends_its_budget():
