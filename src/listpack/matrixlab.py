@@ -6,8 +6,8 @@ permutation sigma with A[i][sigma[i]] = 1 for all i; it exists iff the
 permanent is positive.  A *0-transversal* of a count matrix hits only
 zero cells.  When a binary matrix has permanent zero, Frobenius–König
 gives rows S and columns T with |S| + |T| = k + 1 whose submatrix is
-all-zero; `frobenius_konig_witness` extracts one from the Hall violator
-of the failed row-column matching.
+all-zero; `frobenius_konig_witness` reads one off the tight Hall
+violator of the failed row-column matching.
 
 Monte Carlo.  Both estimators run one trial loop,
 `_no_transversal_rate`.  Trial t draws its sample from its own Philox
@@ -133,17 +133,14 @@ def frobenius_konig_witness(
     a: BinaryMatrix,
 ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Row set S and column set T with |S| + |T| = k + 1 and A[S x T]
-    all-zero; None iff the matrix has a 1-transversal."""
-    k = a.k
-    violator = hall_violator(a.row_masks(), k)
+    all-zero; None iff the matrix has a 1-transversal.  S is the tight
+    Hall violator of the rows and T the columns outside its
+    neighbourhood."""
+    violator = hall_violator(a.row_masks(), a.k)
     if violator is None:
         return None
-    reach_rows, reach_cols = violator
-    t_cols = frozenset(range(k)) - reach_cols
-    # Rows in the violator have 1-entries only inside reach_cols, so any
-    # |reach_cols| + 1 of them already give the tight witness.
-    s_rows = frozenset(sorted(reach_rows)[: len(reach_cols) + 1])
-    return s_rows, t_cols
+    rows, cols = violator
+    return frozenset(rows), frozenset(range(a.k)) - cols
 
 
 @lru_cache(maxsize=None)

@@ -144,6 +144,22 @@ def test_complete_rejects_bad_inputs():
         pack_complete(ListAssignment.from_lists([(1, 2), (1, 3), (1, 4)]))
 
 
+def test_complete_runs_past_the_recursion_limit():
+    # 2,201 two-colour lists, list i sharing one colour with each of
+    # lists i - 1 and i + 1, with the middle list moved to the end: each
+    # colour is on at most 2 lists, and the matchings augment along paths
+    # longer than the default recursion limit
+    a = 1100
+    p = [10**6 - i for i in range(a + 1)] + [10**6 + 1 + j for j in range(a + 1)]
+    lists = [sorted(p[i : i + 2]) for i in range(2 * a + 1)]
+    lists.append(lists.pop(a))
+    packing = pack_complete(ListAssignment.from_lists(lists))
+    # proper on K_2201: no colour twice in a colouring
+    assert all(len(set(row)) == len(lists) for row in packing.colourings)
+    for v, lst in enumerate(lists):
+        assert sorted(row[v] for row in packing.colourings) == lst
+
+
 # ---------------------------------------------------------------------------
 # pack_bipartite_ordered
 # ---------------------------------------------------------------------------
