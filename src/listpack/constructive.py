@@ -114,7 +114,12 @@ def _complete_stage(lists: list[tuple[int, ...]], k: int) -> list[int]:
         raise PackingError("Hall condition failed for the list SDR")
     c = [universe[i] for i in m]
     rich = sorted(r for r, cnt in counts.items() if cnt == k)
-    masks = [sum(1 << v for v in range(n) if r in lists[v]) for r in rich]
+    row = {r: i for i, r in enumerate(rich)}
+    masks = [0] * len(rich)  # masks[row[r]]: the vertices whose list has r
+    for v, lst in enumerate(lists):
+        for col in lst:
+            if col in row:
+                masks[row[col]] |= 1 << v
     m = perfect_matching(masks, n)
     if m is None:
         raise PackingError("Hall condition failed for rich colours")

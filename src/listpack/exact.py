@@ -25,9 +25,13 @@ neighbours) <= k).  Deletion only lowers a and b, so the peel has one
 fixpoint and a prefix's deletions are made by the peel of each of its
 completions; a prefix that peels to nothing certifies its whole
 subtree, and a full assignment is left with exactly the vertices that
-_hall_peels leaves, so the same assignments are searched in the same
-order.  Both deciders and canonical_list_assignments enumerate on one
-loop, _odometer, not by recursion.  Budgets count search nodes only.
+_hall_peels leaves.  The list decider also skips colour-relabelled
+twins: each vertex takes, from every class of colours that the same
+earlier lists hold, only the lowest few.  So it searches a subsequence
+of the assignments that _hall_peels leaves, in their order, and stops
+at the same first unpackable one.  Both deciders and
+canonical_list_assignments enumerate on one loop, _odometer, not by
+recursion.  Budgets count search nodes only.
 
 The deciders build no cover and no Packing per candidate: each keeps
 one set of slot-conflict maps and updates it in place as it moves to
@@ -351,7 +355,9 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
     Canonical form: colours are named by first appearance in vertex-then-
     slot scan order (lists sorted ascending), so at each vertex the fresh
     colours are exactly the next unused integers.  Every assignment is a
-    colour permutation of exactly one canonical one.  Colours stay below
+    colour permutation of at least one canonical one, and two canonical
+    ones may be twins: the swap 0 <-> 1 maps ((0, 1), (0, 2)) onto
+    ((0, 1), (1, 2)), and both are enumerated.  Colours stay below
     n*k, the palette needed when every vertex is private.  The
     enumeration is an _odometer over the vertices, so no n is too large
     for the Python stack.
@@ -391,11 +397,12 @@ def decide_chi_star_list(
     """Witness k-list-assignment with no L-packing, or None when every
     canonical assignment packs (certifying chi*_ell(g) <= k).
 
-    An assignment that _hall_peels certifies packs by Hall's theorem
-    and is skipped; every other one is searched by find_packing's
-    search on its list-cover's conflict maps.  Skipping packable
-    assignments keeps the first unpackable one, so the witness is the
-    one an unfiltered loop finds.
+    The searched assignments are a subsequence, in order, of the
+    canonical assignments that _hall_peels does not certify (those
+    pack by Hall's theorem), each searched by find_packing's search on
+    its list-cover's conflict maps, and the witness is the first
+    unpackable canonical assignment, the one an unfiltered loop finds.
+    Two rules drop assignments, and neither drops that one.
 
     The enumeration is an _odometer over the vertices whose take peels
     each prefix once, as its last list is fixed, from the vertices its
@@ -407,10 +414,22 @@ def decide_chi_star_list(
     prefix is made by the full peel of each of its completions: if a
     prefix peels to nothing, every assignment under it packs and take
     cuts the subtree off, and at a full assignment the vertices left
-    are exactly those _hall_peels leaves.  So the searched assignments,
-    their order and the witness are those of the filter above.  With no
-    list fixed the peel deletes exactly the k/2-core, so when 2d <= k
-    for the degeneracy d the answer is None without enumerating.
+    are exactly those _hall_peels leaves.  With no list fixed the peel
+    deletes exactly the k/2-core, so when 2d <= k for the degeneracy d
+    the answer is None without enumerating.
+
+    The options of vertex v are those of _list_options, in its order,
+    less the colour-relabelled twins.  Two colours are interchangeable
+    at v when the same lists of vertices 0..v-1 hold them; each class of
+    interchangeable colours is a run of consecutive names (the fresh
+    colours of one vertex are one class, and taking a prefix of a class
+    splits it into two runs), and L(v) may take only the lowest r
+    colours of each class, for some r.  If L(v) holds c but not c' < c
+    of c's class, the swap c <-> c' fixes the lists of 0..v-1 and turns
+    the assignment into a canonical one that comes earlier and packs
+    exactly when it does.  So every dropped assignment is a relabelling
+    of an earlier one that is kept, and the first unpackable one is
+    never dropped.
 
     No cover is built: take keeps one slot-conflict map per vertex and
     rewrites those of the edges from v down as a surviving prefix fixes
@@ -428,14 +447,27 @@ def decide_chi_star_list(
     masks = [0] * n
     used = [0] * (n + 1)  # used[v]: the colours 0..m-1 of the prefix 0..v-1
     alive = [0] * (n + 1)  # alive[v]: what the peel of the prefix 0..v-1 leaves
+    # starts[v]: bitmask of the lowest colour of each class of colours
+    # that the same lists of the prefix 0..v-1 hold, and of used[v]
+    starts = [1] * (n + 1)
     conflicts: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
     alive[0] = _peel(nbrs, masks, k, 0, (1 << n) - 1, list(range(n)))
     if not alive[0]:
         return None
 
-    def take(v: int, option: tuple[tuple[int, ...], int]) -> bool:
-        lists[v], used[v + 1] = option
-        mv = masks[v] = sum(1 << c for c in lists[v])
+    def options(v: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        # a colour that starts no class goes in L(v) only with the one below
+        for lst, m in _list_options(used[v], k):
+            mask = sum(1 << c for c in lst)
+            if not mask & ~(mask << 1) & ~starts[v]:
+                yield lst, m, mask
+
+    def take(v: int, option: tuple[tuple[int, ...], int, int]) -> bool:
+        lists[v], m, mv = option
+        used[v + 1], masks[v] = m, mv
+        # a class splits between adjacent colours when L(v) holds just one
+        # of them; the bit this sets above L(v)'s fresh colours is used[v + 1]
+        starts[v + 1] = starts[v] | mv ^ mv << 1
         live = alive[v + 1] = _peel(nbrs, masks, k, v + 1, alive[v], [v, *below[v]])
         if not live:
             return False  # every assignment extending this prefix packs
@@ -453,7 +485,7 @@ def decide_chi_star_list(
                 conflicts[u].pop(v, None)
         return True
 
-    steps = _odometer(n, lambda v: _list_options(used[v], k), take)
+    steps = _odometer(n, options, take)
     found = _first_unpackable(g, k, ((lists, conflicts) for _ in steps), budget)
     return None if found is None else ListAssignment(lists=tuple(found))
 

@@ -414,8 +414,8 @@ def test_hall_peel_reads_both_counts():
 
 def test_decide_chi_star_list_searched_counts_are_pinned(monkeypatch):
     # P4 at k = 3 and K3 at k = 5 have 2d <= k, so nothing is searched;
-    # on C4 at k = 3, 925 of the 7,284 canonical assignments are, and on
-    # C5 at k = 3, 15,433 of 507,622
+    # on C4 at k = 3, 140 of the 7,284 canonical assignments are, and on
+    # C5 at k = 3, 1,866 of 507,622
     searched = []
 
     def counting(g, k, conflicts, budget):
@@ -424,12 +424,49 @@ def test_decide_chi_star_list_searched_counts_are_pinned(monkeypatch):
 
     search = exact._search
     monkeypatch.setattr(exact, "_search", counting)
-    cases = (("P4", 3, 0), ("K3", 5, 0), ("C4", 3, 925), ("C5", 3, 15433))
+    cases = (("P4", 3, 0), ("K3", 5, 0), ("C4", 3, 140), ("C5", 3, 1866))
     for name, k, count in cases:
         searched.clear()
         assert decide_chi_star_list(small_graph(name), k) is None
         assert len(searched) == count, name
     assert sum(1 for _ in canonical_list_assignments(4, 3)) == 7284
+
+
+def twin_swap(lists):
+    """(c', c) for the first vertex j, in scan order, whose list holds a
+    colour c but not a lower colour c' that the same lists of the
+    vertices before j hold, or None: the decider drops exactly the
+    assignments with such a pair."""
+    for j, lst in enumerate(lists):
+        for c in lst:
+            for low in range(c):
+                if low not in lst and all(
+                    (c in before) == (low in before) for before in lists[:j]
+                ):
+                    return low, c
+    return None
+
+
+def test_twin_rule_drops_only_relabellings_of_earlier_assignments():
+    # swapping c' and c fixes the lists before j and lowers L(j), so each
+    # dropped assignment is a relabelling of one enumerated before it,
+    # and the first unpackable assignment is never dropped
+    for n, k in ((2, 2), (3, 2), (3, 3), (4, 2)):
+        order = {}
+        dropped = 0
+        for a in canonical_list_assignments(n, k):
+            order[a.lists] = len(order)
+            if (pair := twin_swap(a.lists)) is not None:
+                swap = {pair[0]: pair[1], pair[1]: pair[0]}
+                twin = canonical_form(
+                    [sorted(swap.get(c, c) for c in lst) for lst in a.lists]
+                )
+                assert order[twin] < order[a.lists], (a.lists, twin)
+                dropped += 1
+        assert dropped > 0, (n, k)
+    # the twins named by canonical_list_assignments' docstring
+    assert twin_swap(((0, 1), (0, 2))) is None
+    assert twin_swap(((0, 1), (1, 2))) == (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -452,8 +489,9 @@ def test_decide_chi_star_list_matches_unfiltered_loop(name):
 def test_decide_chi_star_list_searches_what_the_full_peel_leaves(monkeypatch, name):
     # the prefix peel skips whole subtrees, but the conflict maps
     # searched are, in order, the list-covers' of the filter that peels
-    # each full assignment; the decider updates one set of maps in
-    # place, so each is copied as it is searched
+    # each full assignment and drops each colour-relabelled twin; the
+    # decider updates one set of maps in place, so each is copied as it
+    # is searched
     searched = []
 
     def counting(g, k, conflicts, budget):
@@ -468,7 +506,7 @@ def test_decide_chi_star_list_searches_what_the_full_peel_leaves(monkeypatch, na
         reference = [
             a
             for a in canonical_list_assignments(g.n, k)
-            if not _hall_peels(nbrs, a.lists, k)
+            if not _hall_peels(nbrs, a.lists, k) and twin_swap(a.lists) is None
         ]
         maps = [list(list_to_cover(g, a).conflicts) for a in reference]
         searched.clear()
@@ -575,8 +613,8 @@ def test_canonical_enumeration_runs_past_the_recursion_limit():
 
 
 def test_decide_chi_star_list_c5_at_k3_all_pack():
-    # chi*_ell(C5) = 3: 507,622 canonical assignments, about 15,000 of
-    # them searched after the peel
+    # chi*_ell(C5) = 3: 507,622 canonical assignments, 1,866 of them
+    # searched after the peel and the twin rule
     c5 = small_graph("C5")
     assert decide_chi_star_list(c5, 3) is None
     assert decide_chi_star_list(c5, 2) is not None
@@ -848,8 +886,8 @@ def test_decider_budgets_are_pinned():
     c4 = small_graph("C4")
     witness = ListAssignment(((0, 1), (0, 1), (0, 2), (1, 2)))
     cases = [
-        (decide_chi_star_list, 3, 15371, None),
-        (decide_chi_star_list, 2, 72, witness),
+        (decide_chi_star_list, 3, 2316, None),
+        (decide_chi_star_list, 2, 60, witness),
         (decide_chi_star_corr, 4, 116, None),
     ]
     for decide, k, nodes, want in cases:
