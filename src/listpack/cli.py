@@ -20,6 +20,7 @@ overrides the default search budget for solve and chi-star.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -46,6 +47,7 @@ from .core import (
     instance_to_obj,
     list_to_cover,
     packing_to_obj,
+    slots_to_colours,
 )
 from .exact import (
     BudgetExceeded,
@@ -213,6 +215,8 @@ def _cmd_pack(args) -> tuple[int, list[dict]]:
         raise _DataError(f"precondition failed: {exc}") from exc
     if packing is None:
         return EXIT_NONE, [dict(result="none", method=args.method)]
+    if packing.mode == "cover" and not isinstance(instance, CorrespondenceCover):
+        packing = slots_to_colours(instance[1], packing)  # a list instance
     packing = packing_to_obj(packing)
     return EXIT_OK, [dict(result="packing", method=args.method, packing=packing)]
 
@@ -375,17 +379,9 @@ def _cmd_experiment(args) -> tuple[int, list[dict]]:
     ]
 
 
-class _Parser(argparse.ArgumentParser):
-    """Prints -h/--help text to stderr: stdout carries only JSON.  The
-    subcommand parsers are of this class too."""
-
-    def print_help(self, file=None) -> None:
-        super().print_help(sys.stderr if file is None else file)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="listpack",
         description="list/correspondence packing solvers and experiments",
     )
@@ -454,7 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(sys.stderr):  # -h/--help text
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

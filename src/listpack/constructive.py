@@ -166,8 +166,8 @@ def pack_complete(lists: ListAssignment) -> Packing:
     return Packing.from_rows("list", rows)
 
 
-def bipartition(g: Graph) -> Optional[tuple[list[int], list[int]]]:
-    """Two-colour the graph by BFS; None if an odd cycle exists."""
+def bipartition(g: Graph) -> tuple[list[int], list[int]]:
+    """The two sides of a two-colouring; ValueError on an odd cycle."""
     side = [-1] * g.n
     nbrs = g.neighbours()
     for start in range(g.n):
@@ -182,7 +182,7 @@ def bipartition(g: Graph) -> Optional[tuple[list[int], list[int]]]:
                     side[u] = 1 - side[v]
                     queue.append(u)
                 elif side[u] == side[v]:
-                    return None
+                    raise ValueError("graph is not bipartite")
     return (
         [v for v in range(g.n) if side[v] == 0],
         [v for v in range(g.n) if side[v] == 1],
@@ -191,11 +191,9 @@ def bipartition(g: Graph) -> Optional[tuple[list[int], list[int]]]:
 
 def bipartite_sides(g: Graph) -> tuple[list[int], list[int], int]:
     """(A, B, Delta_A): A is the part of the bipartition with the smaller
-    maximum degree, the first part on a tie.  Raises ValueError on an
-    odd cycle."""
+    maximum degree, the first part on a tie.  bipartition raises
+    ValueError on an odd cycle."""
     parts = bipartition(g)
-    if parts is None:
-        raise ValueError("graph is not bipartite")
     deg = g.degrees()
     d0, d1 = (max((deg[v] for v in part), default=0) for part in parts)
     if d0 <= d1:

@@ -439,21 +439,17 @@ def instance_from_obj(obj: dict):
 def instance_to_obj(instance) -> dict:
     if isinstance(instance, CorrespondenceCover):
         g = instance.graph
-        return {
-            "n": g.n,
-            "edges": [list(e) for e in sorted(g.edges)],
+        rest = {
             "k": instance.k,
             "matchings": {
                 f"{u}-{v}": [list(p) for p in pairs]
                 for (u, v), pairs in sorted(instance.matchings.items())
             },
         }
-    g, lists = instance
-    return {
-        "n": g.n,
-        "edges": [list(e) for e in sorted(g.edges)],
-        "lists": [list(lst) for lst in lists.lists],
-    }
+    else:
+        g, lists = instance
+        rest = {"lists": [list(lst) for lst in lists.lists]}
+    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)], **rest}
 
 
 def packing_from_obj(obj: dict) -> Packing:

@@ -414,9 +414,9 @@ def decide_chi_star_list(
     prefix is made by the full peel of each of its completions: if a
     prefix peels to nothing, every assignment under it packs and take
     cuts the subtree off, and at a full assignment the vertices left
-    are exactly those _hall_peels leaves.  With no list fixed the peel
-    deletes exactly the k/2-core, so when 2d <= k for the degeneracy d
-    the answer is None without enumerating.
+    are exactly those _hall_peels leaves.  The first take peels every
+    vertex and leaves the k/2-core (no two listed vertices are adjacent),
+    so when 2d <= k for the degeneracy d it ends the enumeration unsearched.
 
     The options of vertex v are those of _list_options, in its order,
     less the colour-relabelled twins.  Two colours are interchangeable
@@ -445,30 +445,27 @@ def decide_chi_star_list(
     below = [[u for u in nbrs[v] if u < v] for v in range(n)]
     lists: list[tuple[int, ...]] = [()] * n
     masks = [0] * n
-    used = [0] * (n + 1)  # used[v]: the colours 0..m-1 of the prefix 0..v-1
-    alive = [0] * (n + 1)  # alive[v]: what the peel of the prefix 0..v-1 leaves
-    # starts[v]: bitmask of the lowest colour of each class of colours
-    # that the same lists of the prefix 0..v-1 hold, and of used[v]
+    alive = [(1 << n) - 1] * (n + 1)  # alive[v]: what prefix 0..v-1's peel leaves
+    # starts[v]: bitmask of the lowest colour of each class of colours that
+    # the same lists of the prefix 0..v-1 hold, and of m, the colours they use
     starts = [1] * (n + 1)
     conflicts: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-    alive[0] = _peel(nbrs, masks, k, 0, (1 << n) - 1, list(range(n)))
-    if not alive[0]:
-        return None
 
-    def options(v: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    def options(v: int) -> Iterator[tuple[tuple[int, ...], int]]:
         # a colour that starts no class goes in L(v) only with the one below
-        for lst, m in _list_options(used[v], k):
+        for lst, _ in _list_options(starts[v].bit_length() - 1, k):
             mask = sum(1 << c for c in lst)
             if not mask & ~(mask << 1) & ~starts[v]:
-                yield lst, m, mask
+                yield lst, mask
 
-    def take(v: int, option: tuple[tuple[int, ...], int, int]) -> bool:
-        lists[v], m, mv = option
-        used[v + 1], masks[v] = m, mv
+    def take(v: int, option: tuple[tuple[int, ...], int]) -> bool:
+        lists[v], mv = option
+        masks[v] = mv
         # a class splits between adjacent colours when L(v) holds just one
-        # of them; the bit this sets above L(v)'s fresh colours is used[v + 1]
+        # of them; the bit this sets above L(v)'s fresh colours is the new m
         starts[v + 1] = starts[v] | mv ^ mv << 1
-        live = alive[v + 1] = _peel(nbrs, masks, k, v + 1, alive[v], [v, *below[v]])
+        work = [v, *below[v]] if v else list(range(n))
+        live = alive[v + 1] = _peel(nbrs, masks, k, v + 1, alive[v], work)
         if not live:
             return False  # every assignment extending this prefix packs
         slot = {c: j for j, c in enumerate(lists[v])}
@@ -486,7 +483,8 @@ def decide_chi_star_list(
         return True
 
     steps = _odometer(n, options, take)
-    found = _first_unpackable(g, k, ((lists, conflicts) for _ in steps), budget)
+    left = ((lists, conflicts) for _ in steps if alive[n])  # n = 0 peels to nothing
+    found = _first_unpackable(g, k, left, budget)
     return None if found is None else ListAssignment(lists=tuple(found))
 
 

@@ -121,12 +121,9 @@ def one_transversal(a: BinaryMatrix) -> Optional[tuple[int, ...]]:
 
 
 def zero_transversal(m: CountMatrix) -> Optional[tuple[int, ...]]:
-    """Permutation hitting only zero cells of the count matrix, or None."""
-    zeros = [
-        sum(1 << j for j in range(m.k) if row[j] == 0) for row in m.counts
-    ]
-    sigma = perfect_matching(zeros, m.k)
-    return None if sigma is None else tuple(sigma)
+    """1-transversal of the zero pattern of the count matrix, or None."""
+    zeros = [[c == 0 for c in row] for row in m.counts]
+    return one_transversal(BinaryMatrix.from_rows(zeros))
 
 
 def frobenius_konig_witness(

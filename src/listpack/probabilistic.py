@@ -68,11 +68,8 @@ def validate_fractional(g: Graph, fc: FractionalColoring) -> Optional[str]:
 
 
 def fc_from_bipartition(g: Graph) -> FractionalColoring:
-    """(2,1)-colouring from a bipartition; raises on odd cycles."""
-    parts = bipartition(g)
-    if parts is None:
-        raise ValueError("graph is not bipartite")
-    side1 = set(parts[1])
+    """(2,1)-colouring from a bipartition; ValueError on odd cycles."""
+    side1 = set(bipartition(g)[1])
     return FractionalColoring.from_sets(
         2, 1, [{1} if v in side1 else {0} for v in range(g.n)]
     )

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from listpack.cli import main
-from listpack.core import instance_from_obj, packing_from_obj, validate_packing
+from listpack.core import (
+    instance_from_obj,
+    list_to_cover,
+    packing_from_obj,
+    validate_packing,
+)
 
 
 def run(capsys, *argv):
@@ -483,6 +488,35 @@ def test_pack_methods(tmp_path, capsys):
         capsys, "pack", str(path), "--method", "bip-lll", "--seed", "1"
     )
     assert code == 0
+
+
+def test_pack_answers_a_list_instance_in_colours_for_every_method(tmp_path, capsys):
+    # P5 with 5-lists meets every method's precondition, including
+    # pack_augment's k >= 1 + Delta + (1 + degeneracy) = 5 and
+    # pack_complete's k <= n; colours 10v..10v+40 tell them from slots
+    obj = {
+        "n": 5,
+        "edges": [[v, v + 1] for v in range(4)],
+        "lists": [[10 * v + 10 * i for i in range(5)] for v in range(5)],
+    }
+    inst = tmp_path / "p5.json"
+    inst.write_text(json.dumps(obj))
+    fc = tmp_path / "fc.json"
+    fc.write_text('{"a": 2, "b": 1, "assignment": [[0], [1], [0], [1], [0]]}')
+    cover = list_to_cover(*instance_from_obj(obj))
+    for extra in (
+        ["--method", "degenerate"],
+        ["--method", "complete"],
+        ["--method", "bip-ordered"],
+        ["--method", "augment"],
+        ["--method", "fractional", "--seed", "3", "--fc", str(fc)],
+        ["--method", "bip-lll", "--seed", "1"],
+    ):
+        code, out, err = run(capsys, "pack", str(inst), *extra)
+        assert code == 0, (extra, err)
+        packing = record(out)["packing"]
+        assert packing["mode"] == "list", extra
+        assert validate_packing(cover, packing_from_obj(packing)) is None, extra
 
 
 def test_matrix_perm_zero_record(capsys):

@@ -215,6 +215,12 @@ def test_bipartition_splits_components():
     assert sorted(parts[0] + parts[1]) == [0, 1, 2, 3]
 
 
+def test_bipartition_rejects_an_odd_cycle():
+    c5 = Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
+    with pytest.raises(ValueError, match="not bipartite"):
+        bipartition(c5)
+
+
 # ---------------------------------------------------------------------------
 # pack_augment
 # ---------------------------------------------------------------------------
